@@ -1,27 +1,17 @@
 """Hot numeric kernels for EM training and folding-in.
 
-Two implementations live side by side: numba ``@njit`` loops and a pure
-numpy path. The numpy path is selected by setting the environment
-variable ``PHOTOTOPICS_DISABLE_NUMBA=1`` before import (or automatically
-when numba is unavailable). Both paths use fixed reduction orders so a
-given path is bit-reproducible across runs.
-
-``benchmarks/bench_em.py`` compares the two.
+Both kernels are vectorized numpy with fixed reduction orders, so a
+given input gives bit-identical results across runs.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
 
-_DISABLE_NUMBA = os.environ.get("PHOTOTOPICS_DISABLE_NUMBA", "").lower() in (
-    "1", "true", "yes")
 
-
-def em_sufficient_stats_numpy(rows, cols, vals, word_given_topic, doc_mixtures):
+def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     """E-step posteriors accumulated into M-step sufficient statistics.
 
     Returns (nwz, nzd, nz, ll) where ll is the log-likelihood of the
@@ -44,7 +34,7 @@ def em_sufficient_stats_numpy(rows, cols, vals, word_given_topic, doc_mixtures):
     return nwz, nzd, nz, ll
 
 
-def fold_in_numpy(widx, wvals, word_given_topic, max_iters, tol):
+def fold_in_kernel(widx, wvals, word_given_topic, max_iters, tol):
     """EM on a single document's topic mixture with P(w|z) frozen."""
     n_topics = word_given_topic.shape[0]
     theta = np.full(n_topics, 1.0 / n_topics)
@@ -65,85 +55,3 @@ def fold_in_numpy(widx, wvals, word_given_topic, max_iters, tol):
         if delta < tol:
             break
     return theta
-
-
-try:
-    if _DISABLE_NUMBA:
-        raise ImportError("numba disabled by PHOTOTOPICS_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-
-    @njit(cache=True)
-    def _em_sufficient_stats_nb(rows, cols, vals, word_given_topic, doc_mixtures,
-                                nwz, nzd, nz):
-        n_topics = word_given_topic.shape[0]
-        ll = 0.0
-        q = np.empty(n_topics)
-        for i in range(len(rows)):
-            w = rows[i]
-            d = cols[i]
-            x = vals[i]
-            s = 0.0
-            for k in range(n_topics):
-                q[k] = doc_mixtures[d, k] * word_given_topic[k, w]
-                s += q[k]
-            safe = s if s > _TINY else _TINY
-            ll += x * np.log(safe)
-            scale = x / safe
-            for k in range(n_topics):
-                qk = q[k] * scale
-                nwz[k, w] += qk
-                nzd[d, k] += qk
-                nz[k] += qk
-        return ll
-
-    def em_sufficient_stats_numba(rows, cols, vals, word_given_topic, doc_mixtures):
-        n_topics, n_words = word_given_topic.shape
-        nwz = np.zeros((n_topics, n_words))
-        nzd = np.zeros((doc_mixtures.shape[0], n_topics))
-        nz = np.zeros(n_topics)
-        ll = _em_sufficient_stats_nb(rows, cols, vals, word_given_topic,
-                                     doc_mixtures, nwz, nzd, nz)
-        return nwz, nzd, nz, ll
-
-    @njit(cache=True)
-    def fold_in_numba(widx, wvals, word_given_topic, max_iters, tol):
-        n_topics = word_given_topic.shape[0]
-        theta = np.full(n_topics, 1.0 / n_topics)
-        if len(widx) == 0:
-            return theta
-        new = np.empty(n_topics)
-        for _ in range(max_iters):
-            for k in range(n_topics):
-                new[k] = 0.0
-            for j in range(len(widx)):
-                w = widx[j]
-                s = 0.0
-                for k in range(n_topics):
-                    s += theta[k] * word_given_topic[k, w]
-                safe = s if s > _TINY else _TINY
-                scale = wvals[j] / safe
-                for k in range(n_topics):
-                    new[k] += theta[k] * word_given_topic[k, w] * scale
-            total = 0.0
-            for k in range(n_topics):
-                total += new[k]
-            delta = 0.0
-            for k in range(n_topics):
-                nk = new[k] / total if total > 0.0 else 1.0 / n_topics
-                diff = abs(nk - theta[k])
-                if diff > delta:
-                    delta = diff
-                theta[k] = nk
-            if delta < tol:
-                break
-        return theta
-
-    em_sufficient_stats = em_sufficient_stats_numba
-    fold_in_kernel = fold_in_numba
-
-except ImportError:
-    HAS_NUMBA = False
-    em_sufficient_stats = em_sufficient_stats_numpy
-    fold_in_kernel = fold_in_numpy

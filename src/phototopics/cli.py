@@ -21,7 +21,6 @@ from .corpus import (
     build_cooccurrence,
     build_vocabulary,
     parse_tag_records,
-    vectorize_record,
 )
 from .exceptions import (
     InputOutputError,
@@ -81,14 +80,10 @@ def cmd_train(args) -> int:
 def cmd_fold_in(args) -> int:
     model = plsa.PlsaModel.load(args.model)
     vocab = Vocabulary.load(args.vocab)
-    if model.vocab_hash and model.vocab_hash != vocab.digest():
-        raise ValidationError("model vocabulary hash does not match the "
-                              "given vocabulary file")
     records = _read_records(args.records)
+    mixtures = pl.fold_in_records(records, model, vocab, args.weighting)
     with _open_out(args.output) as out:
-        for rec in records:
-            widx, wval = vectorize_record(rec, vocab, args.weighting)
-            mixture = plsa.fold_in(model, widx, wval)
+        for rec, mixture in mixtures:
             out.write(json.dumps({"image_id": rec.image_id,
                                   "mixture": mixture.tolist()},
                                  sort_keys=True) + "\n")

@@ -19,8 +19,6 @@ from .exceptions import ValidationError
 DEFAULT_MIN_COUNT = 5
 DEFAULT_MIN_COLLECTIONS = 2
 
-COOC_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class TagRecord:
@@ -124,42 +122,44 @@ class CooccurrenceMatrix:
         mask = self.cols == j
         return self.rows[mask], self.vals[mask]
 
-    def to_json(self) -> str:
-        payload = {
-            "format_version": COOC_FORMAT_VERSION,
-            "n_words": self.n_words,
-            "doc_ids": self.doc_ids,
-            "entries": [
-                [int(w), int(d), float(v)]
-                for w, d, v in zip(self.rows, self.cols, self.vals)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CooccurrenceMatrix":
-        payload = json.loads(text)
-        entries = payload["entries"]
-        rows = np.array([e[0] for e in entries], dtype=np.int64)
-        cols = np.array([e[1] for e in entries], dtype=np.int64)
-        vals = np.array([e[2] for e in entries], dtype=np.float64)
-        return cls(payload["n_words"], payload["doc_ids"], rows, cols, vals)
+def tag_record_from_dict(obj) -> TagRecord:
+    """One tag record from its decoded JSON object.
 
-    def __eq__(self, other):
-        if not isinstance(other, CooccurrenceMatrix):
-            return NotImplemented
-        return (self.n_words == other.n_words
-                and self.doc_ids == other.doc_ids
-                and np.array_equal(self.rows, other.rows)
-                and np.array_equal(self.cols, other.cols)
-                and np.array_equal(self.vals, other.vals))
+    Tags are lowercased; duplicate tags are merged keeping the maximum
+    confidence.
+    """
+    try:
+        image_id = obj["image_id"]
+        collection_id = obj["collection_id"]
+        raw_tags = obj["tags"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed tag record: {exc!r}") from exc
+    if not isinstance(raw_tags, list):
+        raise ValidationError("malformed tag record: tags must be a list")
+    merged: dict[str, float] = {}
+    for entry in raw_tags:
+        try:
+            tag = str(entry["tag"]).lower()
+            conf = float(entry["confidence"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed tag entry: {exc!r}") from exc
+        if not 0.0 <= conf <= 1.0:
+            raise ValidationError(f"confidence {conf} outside [0, 1]")
+        if tag not in merged or conf > merged[tag]:
+            merged[tag] = conf
+    return TagRecord(
+        image_id=str(image_id),
+        collection_id=str(collection_id),
+        tags=tuple(merged.items()),
+    )
 
 
 def parse_tag_records(stream) -> list[TagRecord]:
     """Parse JSON-lines tag records from an iterable of lines or a file object.
 
-    Tags are lowercased; duplicate tags within one record are merged
-    keeping the maximum confidence. Blank lines are skipped.
+    Each line is converted by ``tag_record_from_dict``. Blank lines are
+    skipped.
     """
     records = []
     for lineno, line in enumerate(stream, start=1):
@@ -169,30 +169,11 @@ def parse_tag_records(stream) -> list[TagRecord]:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-            image_id = obj["image_id"]
-            collection_id = obj["collection_id"]
-            raw_tags = obj["tags"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            records.append(tag_record_from_dict(json.loads(line)))
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed tag record at line {lineno}: {exc}") from exc
-        merged: dict[str, float] = {}
-        for entry in raw_tags:
-            try:
-                tag = str(entry["tag"]).lower()
-                conf = float(entry["confidence"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"malformed tag entry at line {lineno}: {exc}") from exc
-            if not 0.0 <= conf <= 1.0:
-                raise ValidationError(
-                    f"confidence {conf} outside [0, 1] at line {lineno}"
-                )
-            if tag not in merged or conf > merged[tag]:
-                merged[tag] = conf
-        records.append(TagRecord(
-            image_id=str(image_id),
-            collection_id=str(collection_id),
-            tags=tuple(merged.items()),
-        ))
+        except ValidationError as exc:
+            raise ValidationError(f"{exc} at line {lineno}") from exc
     return records
 
 

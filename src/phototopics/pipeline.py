@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from . import plsa
-from .corpus import TagRecord, Vocabulary, vectorize_record
+from .corpus import TagRecord, Vocabulary, tag_record_from_dict, vectorize_record
 from .exceptions import TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
@@ -45,7 +45,6 @@ class CategoryScores:
     """Externally produced per-image category scores, validated on load."""
 
     by_image: dict[str, list[tuple[str, str, float]]]
-    provenance: str = ""
 
     def best_for_topic(self, image_id: str, topic_name: str
                        ) -> tuple[str, float] | None:
@@ -60,8 +59,8 @@ class CategoryScores:
         return min(candidates, key=lambda cs: (-cs[1], cs[0]))
 
 
-def load_category_scores(stream, registry: dict[str, set[str]] | None = None,
-                         provenance: str = "") -> CategoryScores:
+def load_category_scores(stream, registry: dict[str, set[str]] | None = None
+                         ) -> CategoryScores:
     """Parse JSON-lines ``{"image_id","topic","category","score"}`` scores.
 
     Every entry must name a category registered for its topic; offenders
@@ -93,7 +92,7 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None,
         by_image.setdefault(image_id, []).append((topic, category, score))
     if offenders:
         raise ValidationError("unknown categories:\n" + "\n".join(offenders))
-    return CategoryScores(by_image=by_image, provenance=provenance)
+    return CategoryScores(by_image=by_image)
 
 
 @dataclass
@@ -133,22 +132,30 @@ def _build_index(entries: list[ImageEntry]) -> dict[str, dict[str, list[str]]]:
     return index
 
 
+def fold_in_records(records: list[TagRecord], model: PlsaModel,
+                    vocab: Vocabulary, weighting: str = "binary"):
+    """Lazily yield ``(record, mixture)`` for each record, in the given order.
+
+    The model must be bound to the same vocabulary the records are
+    vectorized with; a hash mismatch is a hard error, raised before the
+    first record, because silently misaligned word indices would corrupt
+    every mixture.
+    """
+    if model.vocab_hash and model.vocab_hash != vocab.digest():
+        raise ValidationError(
+            "model was trained against a different vocabulary "
+            f"(hash {model.vocab_hash[:12]}... != {vocab.digest()[:12]}...)")
+    return ((rec, plsa.fold_in(model, *vectorize_record(rec, vocab, weighting)))
+            for rec in records)
+
+
 def organize_collection(records: list[TagRecord], model: PlsaModel,
                         vocab: Vocabulary, names: list[TopicNaming] | None = None,
                         threshold: float = DEFAULT_NULL_THRESHOLD,
                         scores: CategoryScores | None = None,
                         weighting: str = "binary",
                         collection_id: str | None = None) -> OrganizedCollection:
-    """Fold in every record, assign topics and attach category scores.
-
-    The model must be bound to the same vocabulary the records are
-    vectorized with; a hash mismatch is a hard error because silently
-    misaligned word indices would corrupt every assignment.
-    """
-    if model.vocab_hash and model.vocab_hash != vocab.digest():
-        raise ValidationError(
-            "model was trained against a different vocabulary "
-            f"(hash {model.vocab_hash[:12]}... != {vocab.digest()[:12]}...)")
+    """Fold in every record, assign topics and attach category scores."""
     if names is not None and len(names) != model.n_topics:
         raise ValidationError("naming result does not cover every topic")
     topic_names = ([n.name for n in names] if names is not None
@@ -157,9 +164,8 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
         collection_id = records[0].collection_id if records else ""
 
     entries = []
-    for rec in sorted(records, key=lambda r: r.image_id):
-        widx, wval = vectorize_record(rec, vocab, weighting)
-        mixture = plsa.fold_in(model, widx, wval)
+    ordered = sorted(records, key=lambda r: r.image_id)
+    for rec, mixture in fold_in_records(ordered, model, vocab, weighting):
         topic, _max_prob = plsa.assign_topic(mixture, threshold)
         if topic is None:
             entry = ImageEntry(rec.image_id, NULL_TOPIC_NAME,
@@ -251,18 +257,8 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
             failures.append((image_id, f"HTTP {resp.status_code}"))
             continue
         try:
-            obj = resp.json()
-            tags = {}
-            for entry in obj["tags"]:
-                tag = str(entry["tag"]).lower()
-                conf = float(entry["confidence"])
-                if tag not in tags or conf > tags[tag]:
-                    tags[tag] = conf
-            records.append(TagRecord(
-                image_id=str(obj.get("image_id", image_id)),
-                collection_id=str(obj.get("collection_id", "")),
-                tags=tuple(tags.items()),
-            ))
-        except (ValueError, KeyError, TypeError, ValidationError) as exc:
+            records.append(tag_record_from_dict(
+                {"image_id": image_id, "collection_id": "", **resp.json()}))
+        except (ValueError, TypeError, ValidationError) as exc:
             failures.append((image_id, f"bad response: {exc}"))
     return records, failures

@@ -117,20 +117,28 @@ class PlsaModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlsaModel":
-        payload = json.loads(text)
-        doc_mixtures = payload.get("doc_mixtures")
-        n_topics = payload["n_topics"]
-        if doc_mixtures is None:
-            doc_mixtures = np.zeros((0, n_topics))
-        return cls(
-            word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
-            doc_mixtures=np.array(doc_mixtures, dtype=np.float64),
-            topic_prior=np.array(payload["topic_prior"], dtype=np.float64),
-            seed=payload["seed"],
-            vocab_hash=payload.get("vocab_hash", ""),
-            n_iters=payload.get("n_iters", 0),
-            final_log_likelihood=payload.get("final_log_likelihood", float("nan")),
-        )
+        """Parse a saved model; malformed text raises ``ValidationError``."""
+        try:
+            payload = json.loads(text)
+            doc_mixtures = payload.get("doc_mixtures")
+            n_topics = payload["n_topics"]
+            if doc_mixtures is None:
+                doc_mixtures = np.zeros((0, n_topics))
+            model = cls(
+                word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
+                doc_mixtures=np.array(doc_mixtures, dtype=np.float64),
+                topic_prior=np.array(payload["topic_prior"], dtype=np.float64),
+                seed=payload["seed"],
+                vocab_hash=payload.get("vocab_hash", ""),
+                n_iters=payload.get("n_iters", 0),
+                final_log_likelihood=payload.get("final_log_likelihood", float("nan")),
+            )
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed model: {exc!r}") from exc
+        if model.word_given_topic.ndim != 2:
+            raise ValidationError("malformed model: word_given_topic must be a "
+                                  "K x M matrix")
+        return model
 
     def save(self, path, include_doc_mixtures: bool = True) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -138,8 +146,12 @@ class PlsaModel:
 
     @classmethod
     def load(cls, path) -> "PlsaModel":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_json(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"model file is not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
 
 def init_model(n_topics: int, n_words: int, seed: int,
@@ -251,7 +263,7 @@ def fold_in(model: PlsaModel, word_indices, word_values,
     """
     widx = np.asarray(word_indices, dtype=np.int64)
     wval = np.asarray(word_values, dtype=np.float64)
-    if len(widx) and widx.max() >= model.n_words:
+    if len(widx) and (widx.min() < 0 or widx.max() >= model.n_words):
         raise ValidationError("word index out of range for model")
     return _kernels.fold_in_kernel(widx, wval, model.word_given_topic,
                                    max_iters, tol)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exceptions import ValidationError
 
@@ -23,18 +23,6 @@ class TaxonomyGraph:
     parents: dict[str, tuple[str, ...]]
     lemma_index: dict[str, tuple[str, ...]]
     ic: dict[str, float]
-    children: dict[str, list[str]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        children: dict[str, list[str]] = {s: [] for s in self.parents}
-        for s, ps in self.parents.items():
-            for p in ps:
-                children[p].append(s)
-        self.children = children
-
-    @property
-    def synsets(self) -> set[str]:
-        return set(self.parents)
 
     def roots(self) -> list[str]:
         return sorted(s for s, ps in self.parents.items() if not ps)

@@ -2,24 +2,9 @@ import io
 import json
 
 import numpy as np
-import pytest
 
 from phototopics.corpus import CooccurrenceMatrix, Vocabulary
 from phototopics.taxonomy import load_taxonomy
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger numba JIT compilation once so timed tests measure math only."""
-    from phototopics import _kernels
-
-    rows = np.array([0], dtype=np.int64)
-    cols = np.array([0], dtype=np.int64)
-    vals = np.array([1.0])
-    pwz = np.array([[1.0]])
-    pzd = np.array([[1.0]])
-    _kernels.em_sufficient_stats(rows, cols, vals, pwz, pzd)
-    _kernels.fold_in_kernel(rows, vals, pwz, 5, 1e-6)
 
 
 def make_corpus(dense, doc_ids=None):

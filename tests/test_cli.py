@@ -137,3 +137,23 @@ def test_vocab_mismatch_exit_2(tmp_path, collection_file):
     other.write_text("zebra\n")
     assert main(["fold-in", str(model_path), str(other),
                  str(collection_file), "-o", str(tmp_path / "f.jsonl")]) == 2
+
+
+_MODEL_HEAD = b'{"n_topics": 2, "topic_prior": [0.5, 0.5], "seed": 0'
+
+
+@pytest.mark.parametrize("content", [
+    b"not json at all",
+    b"[1, 2]",
+    b"\xff\xfe not utf-8",
+    _MODEL_HEAD + b"}",  # no word_given_topic
+    _MODEL_HEAD + b', "word_given_topic": [0.5, 0.5]}',  # not K x M
+])
+def test_malformed_model_exit_2(tmp_path, collection_file, content):
+    vocab_path = tmp_path / "vocab.txt"
+    main(["build-vocab", str(collection_file), "-o", str(vocab_path),
+          "--min-count", "2"])
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(content)
+    assert main(["fold-in", str(model_path), str(vocab_path),
+                 str(collection_file), "-o", str(tmp_path / "f.jsonl")]) == 2

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phototopics.corpus import (
-    CooccurrenceMatrix,
     TagRecord,
     Vocabulary,
     build_cooccurrence,
@@ -35,6 +34,10 @@ class TestParseTagRecords:
     def test_malformed_line_names_line_number(self):
         with pytest.raises(ValidationError, match="line 2"):
             parse_tag_records([tag_record_line("a", "u", []), "{broken"])
+
+    def test_tags_not_a_list_rejected(self):
+        with pytest.raises(ValidationError, match="line 1"):
+            parse_tag_records(['{"image_id":"a","collection_id":"u","tags":5}'])
 
     def test_confidence_out_of_range(self):
         line = '{"image_id":"a","collection_id":"u","tags":[{"tag":"x","confidence":1.5}]}'
@@ -144,11 +147,3 @@ class TestBuildCooccurrence:
         vocab = Vocabulary(("dog",), 5, 2)
         with pytest.raises(ValidationError):
             vectorize_record(TagRecord("a", "u", ()), vocab, "tfidf")
-
-    def test_json_roundtrip_bit_exact(self):
-        vocab = Vocabulary(("ant", "bee"), 5, 2)
-        recs = [TagRecord("a", "u", (("ant", 0.123456789012345),))]
-        X = build_cooccurrence(recs, vocab, "confidence")
-        again = CooccurrenceMatrix.from_json(X.to_json())
-        assert again == X
-        assert again.to_json() == X.to_json()

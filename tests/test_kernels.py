@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,7 @@ from phototopics import _kernels
 
 from conftest import random_corpus
 
-
-needs_numba = pytest.mark.skipif(not _kernels.HAS_NUMBA,
-                                 reason="numba path disabled or unavailable")
+_TINY = np.finfo(np.float64).tiny
 
 
 def _random_params(rng, n_topics, n_words, n_docs):
@@ -18,55 +18,79 @@ def _random_params(rng, n_topics, n_words, n_docs):
     return pwz, pzd
 
 
-@needs_numba
-def test_em_stats_numba_matches_numpy():
+def reference_em_stats(rows, cols, vals, word_given_topic, doc_mixtures):
+    """Per-entry loop over the non-zeros: the kernel's defining arithmetic."""
+    n_topics, n_words = word_given_topic.shape
+    nwz = np.zeros((n_topics, n_words))
+    nzd = np.zeros((doc_mixtures.shape[0], n_topics))
+    nz = np.zeros(n_topics)
+    ll = 0.0
+    for w, d, x in zip(rows, cols, vals):
+        q = [doc_mixtures[d, k] * word_given_topic[k, w] for k in range(n_topics)]
+        safe = max(sum(q), _TINY)
+        ll += x * math.log(safe)
+        for k in range(n_topics):
+            qk = q[k] * x / safe
+            nwz[k, w] += qk
+            nzd[d, k] += qk
+            nz[k] += qk
+    return nwz, nzd, nz, ll
+
+
+def reference_fold_in(widx, wvals, word_given_topic, max_iters, tol):
+    """Per-word loop of fold-in EM with P(w|z) frozen."""
+    n_topics = word_given_topic.shape[0]
+    theta = [1.0 / n_topics] * n_topics
+    if len(widx) == 0:
+        return np.array(theta)
+    for _ in range(max_iters):
+        new = [0.0] * n_topics
+        for w, x in zip(widx, wvals):
+            s = max(sum(theta[k] * word_given_topic[k, w]
+                        for k in range(n_topics)), _TINY)
+            for k in range(n_topics):
+                new[k] += theta[k] * word_given_topic[k, w] * x / s
+        total = sum(new)
+        new = [v / total if total > 0.0 else 1.0 / n_topics for v in new]
+        delta = max(abs(a - b) for a, b in zip(new, theta))
+        theta = new
+        if delta < tol:
+            break
+    return np.array(theta)
+
+
+def test_em_stats_match_reference_loop():
     rng = np.random.default_rng(0)
     for _ in range(10):
         X = random_corpus(rng)
         n_topics = int(rng.integers(1, 5))
         pwz, pzd = _random_params(rng, n_topics, X.n_words, X.n_docs)
-        ref = _kernels.em_sufficient_stats_numpy(X.rows, X.cols, X.vals, pwz, pzd)
-        got = _kernels.em_sufficient_stats_numba(X.rows, X.cols, X.vals, pwz, pzd)
+        ref = reference_em_stats(X.rows, X.cols, X.vals, pwz, pzd)
+        got = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
         for a, b in zip(got[:3], ref[:3]):
             np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
         assert got[3] == pytest.approx(ref[3], rel=1e-12)
 
 
-@needs_numba
-def test_fold_in_numba_matches_numpy():
+def test_fold_in_matches_reference_loop():
     rng = np.random.default_rng(1)
     for _ in range(10):
+        X = random_corpus(rng)
         n_topics = int(rng.integers(1, 6))
-        n_words = int(rng.integers(2, 20))
-        pwz, _ = _random_params(rng, n_topics, n_words, 1)
-        nw = int(rng.integers(1, n_words + 1))
-        widx = rng.choice(n_words, size=nw, replace=False).astype(np.int64)
-        wval = rng.integers(1, 4, size=nw).astype(np.float64)
-        ref = _kernels.fold_in_numpy(widx, wval, pwz, 100, 1e-10)
-        got = _kernels.fold_in_numba(widx, wval, pwz, 100, 1e-10)
-        np.testing.assert_allclose(got, ref, atol=1e-10)
+        pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
+        for j in range(X.n_docs):
+            widx, wval = X.column(j)
+            ref = reference_fold_in(widx, wval, pwz, 100, 1e-10)
+            got = _kernels.fold_in_kernel(widx, wval, pwz, 100, 1e-10)
+            np.testing.assert_allclose(got, ref, atol=1e-10)
 
 
 def test_numpy_path_deterministic():
     rng = np.random.default_rng(2)
     X = random_corpus(rng)
     pwz, pzd = _random_params(rng, 3, X.n_words, X.n_docs)
-    a = _kernels.em_sufficient_stats_numpy(X.rows, X.cols, X.vals, pwz, pzd)
-    b = _kernels.em_sufficient_stats_numpy(X.rows, X.cols, X.vals, pwz, pzd)
+    a = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
+    b = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x, y)
     assert a[3] == b[3]
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    import importlib
-    import sys
-
-    monkeypatch.setenv("PHOTOTOPICS_DISABLE_NUMBA", "1")
-    saved = sys.modules.pop("phototopics._kernels")
-    try:
-        mod = importlib.import_module("phototopics._kernels")
-        assert not mod.HAS_NUMBA
-        assert mod.em_sufficient_stats is mod.em_sufficient_stats_numpy
-    finally:
-        sys.modules["phototopics._kernels"] = saved

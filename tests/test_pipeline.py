@@ -162,6 +162,9 @@ class _StubTagHandler(BaseHTTPRequestHandler):
               "tags": [{"tag": "Dog", "confidence": 0.9}]},
         "b": {"image_id": "b", "collection_id": "u1",
               "tags": [{"tag": "cat", "confidence": 0.7}]},
+        "bare": {"tags": [{"tag": "Dog", "confidence": 0.2},
+                          {"tag": "dog", "confidence": 0.6}]},
+        "bad": {"tags": [{"tag": "dog"}]},
     }
 
     def do_GET(self):
@@ -205,6 +208,12 @@ class TestFetchTags:
         records, failures = fetch_tags(stub_server, ["a", "boom", "b"])
         assert [r.image_id for r in records] == ["a", "b"]
         assert failures == [("boom", "HTTP 500")]
+
+    def test_record_defaults_merge_and_bad_response(self, stub_server):
+        records, failures = fetch_tags(stub_server, ["bare", "bad"])
+        assert records == [TagRecord("bare", "", (("dog", 0.6),))]
+        assert [image_id for image_id, _ in failures] == ["bad"]
+        assert failures[0][1].startswith("bad response")
 
     def test_empty_ids_rejected(self, stub_server):
         with pytest.raises(ValidationError):

@@ -164,6 +164,8 @@ class TestFoldIn:
         model = init_model(2, 3, seed=0)
         with pytest.raises(ValidationError):
             fold_in(model, [3], [1.0])
+        with pytest.raises(ValidationError):
+            fold_in(model, [-1], [1.0])
 
 
 class TestAssignTopic:
