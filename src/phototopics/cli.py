@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 I/O error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -33,6 +34,24 @@ from .taxonomy import load_taxonomy
 def _read_records(path):
     with open(path, encoding="utf-8") as f:
         return parse_tag_records(f)
+
+
+def _read_names_result(path) -> list[nm.TopicNaming]:
+    """The ``name-topics`` output, in topic order."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            payload = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"names result is not JSON: {exc}") from exc
+    try:
+        return [nm.TopicNaming(topic=e["topic"], name=e["name"],
+                               scores=tuple(e["scores"]),
+                               duplicate=e["duplicate"])
+                for e in sorted(payload, key=lambda e: e["topic"])]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(
+            "names result must be a list of objects with topic, name, "
+            f"scores and duplicate ({exc!r})") from exc
 
 
 def _load_graph(args):
@@ -118,14 +137,16 @@ def cmd_coherence(args) -> int:
     model = plsa.PlsaModel.load(args.model)
     vocab = Vocabulary.load(args.vocab)
     cfg = coh.CoherenceConfig(top_n=args.top_n, epsilon=args.epsilon)
+    top = [[w for w, _p in plsa.top_words(model, vocab, k, cfg.top_n)]
+           for k in range(model.n_topics)]
+    scored = {w for words in top for w in words}
     try:
         with open(args.ref_corpus, encoding="utf-8") as f:
-            stats = coh.build_corpus_stats(f, vocab_filter=set(vocab.words))
+            stats = coh.build_corpus_stats(f, vocab_filter=scored)
     except OSError as exc:
         raise InputOutputError(str(exc)) from exc
     rows = []
-    for k in range(model.n_topics):
-        words = [w for w, _p in plsa.top_words(model, vocab, k, cfg.top_n)]
+    for k, words in enumerate(top):
         rows.append({
             "topic": k,
             "uci": coh.uci_score(words, stats, cfg),
@@ -146,14 +167,7 @@ def cmd_organize(args) -> int:
     model = plsa.PlsaModel.load(args.model)
     vocab = Vocabulary.load(args.vocab)
     records = _read_records(args.records)
-    names = None
-    if args.names_result:
-        with open(args.names_result, encoding="utf-8") as f:
-            payload = json.load(f)
-        names = [nm.TopicNaming(topic=e["topic"], name=e["name"],
-                                scores=tuple(e["scores"]),
-                                duplicate=e["duplicate"])
-                 for e in sorted(payload, key=lambda e: e["topic"])]
+    names = _read_names_result(args.names_result) if args.names_result else None
     scores = None
     if args.scores:
         with open(args.scores, encoding="utf-8") as f:
@@ -189,20 +203,9 @@ def cmd_fetch_tags(args) -> int:
     return 0
 
 
-class _StdoutSink:
-    def write(self, data):
-        sys.stdout.write(data)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _open_out(path):
     if path in (None, "-"):
-        return _StdoutSink()
+        return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
 
 
@@ -290,7 +293,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InputOutputError, OSError) as exc:

@@ -17,8 +17,6 @@ from .exceptions import ValidationError
 DEFAULT_TOP_N = 10
 DEFAULT_EPSILON = 1e-12
 
-STATS_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class CoherenceConfig:
@@ -49,46 +47,6 @@ class CorpusStats:
     def p_joint(self, a: str, b: str) -> float:
         return self.joint_df.get(_pair_key(a, b), 0) / self.n_docs
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(f"#version\t{STATS_FORMAT_VERSION}\n")
-            f.write(f"#n_docs\t{self.n_docs}\n")
-            f.write("#df\n")
-            for w in sorted(self.df):
-                f.write(f"{w}\t{self.df[w]}\n")
-            f.write("#joint_df\n")
-            for a, b in sorted(self.joint_df):
-                f.write(f"{a}\t{b}\t{self.joint_df[(a, b)]}\n")
-
-    @classmethod
-    def load(cls, path) -> "CorpusStats":
-        n_docs = None
-        df: dict[str, int] = {}
-        joint: dict[tuple[str, str], int] = {}
-        section = None
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].split("\t")
-                    if parts[0] == "n_docs":
-                        n_docs = int(parts[1])
-                    elif parts[0] in ("df", "joint_df"):
-                        section = parts[0]
-                    continue
-                parts = line.split("\t")
-                if section == "df" and len(parts) == 2:
-                    df[parts[0]] = int(parts[1])
-                elif section == "joint_df" and len(parts) == 3:
-                    joint[(parts[0], parts[1])] = int(parts[2])
-                else:
-                    raise ValidationError(f"malformed stats line {lineno}")
-        if n_docs is None:
-            raise ValidationError("stats file missing n_docs header")
-        return cls(n_docs=n_docs, df=df, joint_df=joint)
-
 
 def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
@@ -97,21 +55,18 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 def build_corpus_stats(stream, vocab_filter=None) -> CorpusStats:
     """Single pass over a line-per-document token stream.
 
-    A word counts once per document regardless of repetitions. When
-    ``vocab_filter`` is given, joint frequencies are only tracked for
-    pairs where both words pass the filter, which bounds memory on large
-    corpora.
+    A word counts once per document regardless of repetitions; blank
+    lines are not documents. When ``vocab_filter`` is given, joint
+    frequencies are only tracked for pairs where both words pass the
+    filter, which bounds time and memory on large corpora; document
+    frequencies are always counted for every word.
     """
     n_docs = 0
     df: dict[str, int] = {}
     joint: dict[tuple[str, str], int] = {}
     for line in stream:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         tokens = line.lower().split()
-        if not tokens and not line.strip():
-            # blank line still counts as a document only if the corpus
-            # convention says so; we skip it to avoid phantom documents
+        if not tokens:
             continue
         n_docs += 1
         unique = sorted(set(tokens))
@@ -131,16 +86,11 @@ def uci_score(words: list[str], stats: CorpusStats,
               cfg: CoherenceConfig | None = None) -> float:
     """Mean pairwise PMI: 2/(N(N-1)) sum log((P(wi,wj)+eps)/(P(wi)P(wj)))."""
     cfg = cfg or CoherenceConfig()
-    _check_words(words)
-    eps = cfg.epsilon
+    n_pairs = _pair_count(words)
     total = 0.0
-    pairs = 0
-    for a, b in combinations(words, 2):
-        pa, pb = stats.p_word(a), stats.p_word(b)
-        denom = (pa if pa > 0 else eps) * (pb if pb > 0 else eps)
-        total += math.log((stats.p_joint(a, b) + eps) / denom)
-        pairs += 1
-    return total / pairs
+    for pmi, _pj in _floored_pmis(words, stats, cfg.epsilon):
+        total += pmi
+    return total / n_pairs
 
 
 def umass_score(words: list[str], stats: CorpusStats,
@@ -153,11 +103,10 @@ def umass_score(words: list[str], stats: CorpusStats,
     for its pairs and is flagged with a warning.
     """
     cfg = cfg or CoherenceConfig()
-    _check_words(words)
+    n_pairs = _pair_count(words)
     eps = cfg.epsilon
     ordered = sorted(words, key=lambda w: (-stats.df.get(w, 0), w))
     total = 0.0
-    pairs = 0
     for j in range(1, len(ordered)):
         for i in range(j):
             wi, wj = ordered[i], ordered[j]
@@ -168,8 +117,7 @@ def umass_score(words: list[str], stats: CorpusStats,
                     "pair floored with epsilon", RuntimeWarning, stacklevel=2)
                 p_i = eps
             total += math.log((stats.p_joint(wj, wi) + eps) / p_i)
-            pairs += 1
-    return total / pairs
+    return total / n_pairs
 
 
 def avg_npmi(words: list[str], stats: CorpusStats,
@@ -180,24 +128,28 @@ def avg_npmi(words: list[str], stats: CorpusStats,
     document (denominator 0) contributes exactly 1.
     """
     cfg = cfg or CoherenceConfig()
-    _check_words(words)
-    eps = cfg.epsilon
+    n_pairs = _pair_count(words)
     total = 0.0
-    pairs = 0
+    for pmi, pj in _floored_pmis(words, stats, cfg.epsilon):
+        denom = -math.log(pj + cfg.epsilon)
+        total += 1.0 if denom <= 0.0 else pmi / denom
+    return total / n_pairs
+
+
+def _floored_pmis(words, stats: CorpusStats, eps: float):
+    """(PMI, P(wi,wj)) of each unordered pair, in ``combinations`` order.
+
+    PMI = log((P(wi,wj)+eps)/(P(wi)P(wj))), where a zero marginal is
+    floored to eps.
+    """
     for a, b in combinations(words, 2):
         pj = stats.p_joint(a, b)
         pa, pb = stats.p_word(a), stats.p_word(b)
-        denom = -math.log(pj + eps)
-        if denom <= 0.0:
-            total += 1.0
-        else:
-            marg = (pa if pa > 0 else eps) * (pb if pb > 0 else eps)
-            pmi = math.log((pj + eps) / marg)
-            total += pmi / denom
-        pairs += 1
-    return total / pairs
+        marg = (pa if pa > 0 else eps) * (pb if pb > 0 else eps)
+        yield math.log((pj + eps) / marg), pj
 
 
-def _check_words(words) -> None:
+def _pair_count(words) -> int:
     if len(words) < 2:
         raise ValidationError("need at least two words to score coherence")
+    return len(words) * (len(words) - 1) // 2

@@ -163,8 +163,6 @@ def parse_tag_records(stream) -> list[TagRecord]:
     """
     records = []
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.strip()
         if not line:
             continue

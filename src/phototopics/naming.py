@@ -15,7 +15,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .plsa import DEFAULT_TOP_WORDS, PlsaModel, top_words
 from .corpus import Vocabulary
-from .taxonomy import TaxonomyGraph, lin_similarity
+from .taxonomy import TaxonomyGraph, max_lin_similarity
 
 NULL_TOPIC_NAME = "Null"
 
@@ -69,8 +69,6 @@ def parse_name_defs(stream) -> list[TopicNameDef]:
     """
     defs = []
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
@@ -103,15 +101,8 @@ def default_name_defs() -> list[TopicNameDef]:
 
 def _anchor_similarity(graph: TaxonomyGraph, tag: str, anchor: str,
                        pinned: tuple[str, ...]) -> float:
-    tag_senses = graph.lemma_index.get(tag.lower(), ())
-    anchor_senses = pinned or graph.lemma_index.get(anchor, ())
-    best = 0.0
-    for a in tag_senses:
-        for b in anchor_senses:
-            sim = lin_similarity(graph, a, b)
-            if sim > best:
-                best = sim
-    return best
+    return max_lin_similarity(graph, graph.lemma_index.get(tag.lower(), ()),
+                              pinned or graph.lemma_index.get(anchor, ()))
 
 
 def score_topic_names(top_tags: list[str], defs: list[TopicNameDef],

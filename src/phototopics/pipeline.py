@@ -28,8 +28,6 @@ def load_category_registry(stream=None) -> dict[str, set[str]]:
         stream = text.splitlines()
     registry: dict[str, set[str]] = {}
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
@@ -70,8 +68,6 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
     by_image: dict[str, list[tuple[str, str, float]]] = {}
     offenders = []
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.strip()
         if not line:
             continue
@@ -156,8 +152,9 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                         weighting: str = "binary",
                         collection_id: str | None = None) -> OrganizedCollection:
     """Fold in every record, assign topics and attach category scores."""
-    if names is not None and len(names) != model.n_topics:
-        raise ValidationError("naming result does not cover every topic")
+    if names is not None and [n.topic for n in names] != list(range(model.n_topics)):
+        raise ValidationError(
+            "naming result must name every topic once, in topic order")
     topic_names = ([n.name for n in names] if names is not None
                    else [f"Topic {k}" for k in range(model.n_topics)])
     if collection_id is None:

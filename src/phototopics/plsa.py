@@ -272,6 +272,8 @@ def fold_in(model: PlsaModel, word_indices, word_values,
 def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD
                  ) -> tuple[int | None, float]:
     """Argmax topic (ties to the lowest index), or None below threshold."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold {threshold} outside [0, 1]")
     mixture = np.asarray(mixture, dtype=np.float64)
     if abs(mixture.sum() - 1.0) > 1e-6:
         raise ValidationError(f"mixture sums to {mixture.sum()}, expected 1")

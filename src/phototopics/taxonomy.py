@@ -29,20 +29,12 @@ class TaxonomyGraph:
 
     def ancestors(self, synset: str) -> set[str]:
         """All ancestors of a synset, including itself."""
-        if synset not in self.parents:
-            raise ValidationError(f"unknown synset {synset!r}")
-        seen = {synset}
-        queue = deque([synset])
-        while queue:
-            s = queue.popleft()
-            for p in self.parents[s]:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
+        return set(self.hops_up(synset))
 
     def hops_up(self, synset: str) -> dict[str, int]:
         """Shortest upward hop count from a synset to each of its ancestors."""
+        if synset not in self.parents:
+            raise ValidationError(f"unknown synset {synset!r}")
         dist = {synset: 0}
         queue = deque([synset])
         while queue:
@@ -82,8 +74,6 @@ def _topological_order(parents: dict[str, tuple[str, ...]]) -> list[str]:
 def _parse_tsv(stream, what: str) -> list[tuple[str, str]]:
     rows = []
     for lineno, line in enumerate(stream, start=1):
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
@@ -184,11 +174,11 @@ def lcs(graph: TaxonomyGraph, s1: str, s2: str) -> str | None:
     from both synsets, then to synset-id order. A node counts as its own
     ancestor. Returns None when the synsets share no ancestor.
     """
-    common = graph.ancestors(s1) & graph.ancestors(s2)
-    if not common:
-        return None
     h1 = graph.hops_up(s1)
     h2 = graph.hops_up(s2)
+    common = h1.keys() & h2.keys()
+    if not common:
+        return None
     return min(common, key=lambda a: (-graph.ic[a], h1[a] + h2[a], a))
 
 
@@ -205,8 +195,12 @@ def lin_similarity(graph: TaxonomyGraph, s1: str, s2: str) -> float:
 
 def word_similarity(graph: TaxonomyGraph, w1: str, w2: str) -> float:
     """Max Lin similarity over all sense pairs; unknown words score 0."""
-    senses1 = graph.lemma_index.get(w1.lower(), ())
-    senses2 = graph.lemma_index.get(w2.lower(), ())
+    return max_lin_similarity(graph, graph.lemma_index.get(w1.lower(), ()),
+                              graph.lemma_index.get(w2.lower(), ()))
+
+
+def max_lin_similarity(graph: TaxonomyGraph, senses1, senses2) -> float:
+    """Max Lin similarity over all pairs of the two sense lists; 0 if either is empty."""
     best = 0.0
     for a in senses1:
         for b in senses2:

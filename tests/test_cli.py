@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from phototopics import coherence as coh
+from phototopics import plsa
 from phototopics.cli import main
+from phototopics.corpus import Vocabulary
 
 from conftest import ANIMAL_WORDS, FOOD_WORDS, tag_record_line
 
@@ -157,3 +160,87 @@ def test_malformed_model_exit_2(tmp_path, collection_file, content):
     model_path.write_bytes(content)
     assert main(["fold-in", str(model_path), str(vocab_path),
                  str(collection_file), "-o", str(tmp_path / "f.jsonl")]) == 2
+
+
+@pytest.fixture()
+def trained(tmp_path, collection_file):
+    """Vocabulary and two-topic model trained on ``collection_file``."""
+    vocab_path = tmp_path / "vocab.txt"
+    model_path = tmp_path / "model.json"
+    assert main(["build-vocab", str(collection_file), "-o", str(vocab_path),
+                 "--min-count", "2"]) == 0
+    assert main(["train", str(collection_file), str(vocab_path),
+                 "-o", str(model_path), "--topics", "2"]) == 0
+    return vocab_path, model_path
+
+
+def test_non_utf8_input_exit_2(tmp_path, collection_file):
+    records = tmp_path / "records.jsonl"
+    records.write_bytes(b"\xff\xfe{}\n")
+    assert main(["build-vocab", str(records), "-o", str(tmp_path / "v.txt")]) == 2
+    vocab_path = tmp_path / "vocab.txt"
+    vocab_path.write_bytes(b"dog\n\xff\xfe\n")
+    assert main(["train", str(collection_file), str(vocab_path),
+                 "-o", str(tmp_path / "m.json"), "--topics", "2"]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    "not json",
+    '{"topic": 0}',
+    '[{"topic": 0}]',
+    '[{"topic": 0, "name": "A", "duplicate": false}]',  # no scores
+    '[{"topic": 0, "name": "A", "scores": [1.0]}]',  # no duplicate
+    '[{"topic": 0, "name": "A", "scores": [1.0], "duplicate": false},'
+    ' {"topic": 0, "name": "B", "scores": [1.0], "duplicate": false}]',
+])
+def test_malformed_names_result_exit_2(tmp_path, collection_file, trained,
+                                       content):
+    vocab_path, model_path = trained
+    names_path = tmp_path / "names.json"
+    names_path.write_text(content)
+    assert main(["organize", str(collection_file), str(model_path),
+                 str(vocab_path), "-o", str(tmp_path / "m.json"),
+                 "--names-result", str(names_path)]) == 2
+
+
+@pytest.mark.parametrize("threshold", ["2", "-0.1", "nan"])
+def test_threshold_outside_unit_interval_exit_2(tmp_path, collection_file,
+                                                trained, threshold):
+    vocab_path, model_path = trained
+    manifest_path = tmp_path / "m.json"
+    assert main(["organize", str(collection_file), str(model_path),
+                 str(vocab_path), "-o", str(manifest_path),
+                 "--threshold", threshold]) == 2
+    assert not manifest_path.exists()
+
+
+def test_coherence_counts_only_scored_words(tmp_path, trained, monkeypatch):
+    vocab_path, model_path = trained
+    ref_corpus = tmp_path / "ref.txt"
+    ref_corpus.write_text("\n".join(
+        [" ".join(FOOD_WORDS)] * 3 + [" ".join(ANIMAL_WORDS[:4])] * 2
+        + [" ".join(ANIMAL_WORDS)] + ["noise words only"]) + "\n")
+    build = coh.build_corpus_stats
+    seen = []
+
+    def run(out, full_vocab):
+        def spy(stream, vocab_filter=None):
+            seen.append(vocab_filter)
+            if full_vocab:
+                vocab_filter = set(Vocabulary.load(vocab_path).words)
+            return build(stream, vocab_filter=vocab_filter)
+
+        monkeypatch.setattr(coh, "build_corpus_stats", spy)
+        assert main(["coherence", str(model_path), str(vocab_path),
+                     "--ref-corpus", str(ref_corpus), "-o", str(out),
+                     "--top-n", "3"]) == 0
+        return out.read_bytes()
+
+    scored = run(tmp_path / "scored.json", full_vocab=False)
+    model = plsa.PlsaModel.load(model_path)
+    vocab = Vocabulary.load(vocab_path)
+    top = {w for k in range(model.n_topics)
+           for w, _p in plsa.top_words(model, vocab, k, 3)}
+    assert seen[0] == top
+    assert len(top) < vocab.size
+    assert run(tmp_path / "full.json", full_vocab=True) == scored

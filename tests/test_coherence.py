@@ -6,7 +6,6 @@ import pytest
 
 from phototopics.coherence import (
     CoherenceConfig,
-    CorpusStats,
     avg_npmi,
     build_corpus_stats,
     uci_score,
@@ -92,15 +91,6 @@ class TestBuildCorpusStats:
     def test_lowercased(self):
         stats = build_corpus_stats(["Dog CAT"])
         assert stats.df == {"dog": 1, "cat": 1}
-
-    def test_cache_roundtrip(self, tmp_path):
-        stats = build_corpus_stats(["a b", "b c", "a c d"])
-        path = tmp_path / "stats.tsv"
-        stats.save(path)
-        again = CorpusStats.load(path)
-        assert again.n_docs == stats.n_docs
-        assert again.df == stats.df
-        assert again.joint_df == stats.joint_df
 
 
 class TestUciScore:
