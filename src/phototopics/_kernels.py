@@ -16,21 +16,29 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
 
     Returns (nwz, nzd, nz, ll) where ll is the log-likelihood of the
     *input* parameters over the nonzero entries.
+
+    The posterior is held topic-major, one contiguous row of length nnz
+    per topic, so each gather, the normalization and each ``bincount``
+    scatter runs over contiguous memory; ``bincount`` adds in input
+    order, as a per-entry loop would.
     """
     n_topics, n_words = word_given_topic.shape
     n_docs = doc_mixtures.shape[0]
-    # (nnz, K) posterior q(z | w, d) before normalization
-    q = doc_mixtures[cols, :] * word_given_topic[:, rows].T
-    norm = q.sum(axis=1)
-    safe = np.maximum(norm, _TINY)
-    ll = float(np.sum(vals * np.log(safe)))
-    qx = q * (vals / safe)[:, None]
-    nwz = np.zeros((n_topics, n_words))
+    doc_topic = np.ascontiguousarray(doc_mixtures.T)
+    # (K, nnz) posterior q(z | w, d), normalized in place below
+    q = np.empty((n_topics, len(vals)))
     for k in range(n_topics):
-        np.add.at(nwz[k], rows, qx[:, k])
-    nzd = np.zeros((n_docs, n_topics))
-    np.add.at(nzd, cols, qx)
-    nz = qx.sum(axis=0)
+        np.multiply(doc_topic[k].take(cols), word_given_topic[k].take(rows),
+                    out=q[k])
+    safe = np.maximum(q.sum(axis=0), _TINY)
+    ll = float(np.sum(vals * np.log(safe)))
+    q *= vals / safe
+    nwz = np.empty((n_topics, n_words))
+    nzd = np.empty((n_docs, n_topics))
+    for k in range(n_topics):
+        nwz[k] = np.bincount(rows, weights=q[k], minlength=n_words)
+        nzd[:, k] = np.bincount(cols, weights=q[k], minlength=n_docs)
+    nz = q.sum(axis=1)
     return nwz, nzd, nz, ll
 
 

@@ -26,8 +26,12 @@ class CoherenceConfig:
     def __post_init__(self):
         if self.top_n < 2:
             raise ValidationError("top_n must be >= 2")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be > 0")
+        # a pair of words both absent from the reference corpus divides by
+        # epsilon squared, so the square must be a positive finite number
+        if not (self.epsilon > 0 and 0.0 < self.epsilon * self.epsilon < math.inf):
+            raise ValidationError(
+                f"epsilon must be > 0 with a finite, non-zero square; "
+                f"got {self.epsilon!r}")
 
 
 class CorpusStats:

@@ -201,11 +201,15 @@ def build_vocabulary(records: list[TagRecord],
                       min_collections=min_collections)
 
 
+def _check_weighting(weighting: str) -> None:
+    if weighting not in ("binary", "confidence"):
+        raise ValidationError(f"unknown weighting {weighting!r}")
+
+
 def vectorize_record(record: TagRecord, vocab: Vocabulary,
                      weighting: str = "binary") -> tuple[np.ndarray, np.ndarray]:
     """Sparse word-count vector for one record; out-of-vocabulary tags dropped."""
-    if weighting not in ("binary", "confidence"):
-        raise ValidationError(f"unknown weighting {weighting!r}")
+    _check_weighting(weighting)
     idx, val = [], []
     for tag, conf in record.tags:
         pos = vocab.index.get(tag)
@@ -224,19 +228,27 @@ def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
 
     ``binary`` puts 1 for every in-vocabulary tag present in a record;
     ``confidence`` puts the tag's confidence instead (a soft count).
+    Entries are ordered by document, then word, as ``vectorize_record``
+    orders each column.
     """
+    _check_weighting(weighting)
+    binary = weighting == "binary"
+    index = vocab.index
     rows, cols, vals = [], [], []
-    doc_ids = []
     for j, rec in enumerate(records):
-        doc_ids.append(rec.image_id)
-        widx, wval = vectorize_record(rec, vocab, weighting)
-        rows.extend(widx.tolist())
-        cols.extend([j] * len(widx))
-        vals.extend(wval.tolist())
+        for tag, conf in rec.tags:
+            pos = index.get(tag)
+            if pos is not None:
+                rows.append(pos)
+                cols.append(j)
+                vals.append(1.0 if binary else conf)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((rows, cols))
     return CooccurrenceMatrix(
         n_words=vocab.size,
-        doc_ids=doc_ids,
-        rows=np.asarray(rows, dtype=np.int64),
-        cols=np.asarray(cols, dtype=np.int64),
-        vals=np.asarray(vals, dtype=np.float64),
+        doc_ids=[rec.image_id for rec in records],
+        rows=rows[order],
+        cols=cols[order],
+        vals=np.asarray(vals, dtype=np.float64)[order],
     )

@@ -151,7 +151,16 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                         scores: CategoryScores | None = None,
                         weighting: str = "binary",
                         collection_id: str | None = None) -> OrganizedCollection:
-    """Fold in every record, assign topics and attach category scores."""
+    """Fold in every record, assign topics and attach category scores.
+
+    Image ids must be unique: a repeated id would appear twice in the
+    manifest and count twice towards coverage.
+    """
+    seen: set[str] = set()
+    for rec in records:
+        if rec.image_id in seen:
+            raise ValidationError(f"duplicate image_id {rec.image_id!r}")
+        seen.add(rec.image_id)
     if names is not None and [n.topic for n in names] != list(range(model.n_topics)):
         raise ValidationError(
             "naming result must name every topic once, in topic order")

@@ -10,6 +10,7 @@ mixture updated).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -89,17 +90,22 @@ class PlsaModel:
 
     def validate(self, atol: float = 1e-9) -> None:
         for name, arr in (("word_given_topic", self.word_given_topic),
-                          ("doc_mixtures", self.doc_mixtures)):
+                          ("doc_mixtures", self.doc_mixtures),
+                          ("topic_prior", self.topic_prior)):
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"non-finite entry in {name}")
             if np.any(arr < 0):
                 raise NumericError(f"negative entry in {name}")
+        for name, arr in (("word_given_topic", self.word_given_topic),
+                          ("doc_mixtures", self.doc_mixtures)):
             if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > atol:
                 raise NumericError(f"row of {name} does not sum to 1")
-        if np.any(self.topic_prior < 0):
-            raise NumericError("negative entry in topic_prior")
         if abs(self.topic_prior.sum() - 1.0) > atol:
             raise NumericError("topic_prior does not sum to 1")
 
     def to_json(self, include_doc_mixtures: bool = True) -> str:
+        """Model as JSON; a non-finite log-likelihood is written as null."""
+        ll = self.final_log_likelihood
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "n_topics": self.n_topics,
@@ -107,7 +113,7 @@ class PlsaModel:
             "seed": self.seed,
             "vocab_hash": self.vocab_hash,
             "n_iters": self.n_iters,
-            "final_log_likelihood": self.final_log_likelihood,
+            "final_log_likelihood": ll if math.isfinite(ll) else None,
             "topic_prior": self.topic_prior.tolist(),
             "word_given_topic": self.word_given_topic.tolist(),
         }
@@ -117,13 +123,20 @@ class PlsaModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PlsaModel":
-        """Parse a saved model; malformed text raises ``ValidationError``."""
+        """Parse and validate a saved model.
+
+        Malformed text, a ``format_version`` other than
+        ``MODEL_FORMAT_VERSION``, inconsistent shapes and parameters that
+        fail ``validate()`` all raise ``ValidationError``.
+        """
         try:
             payload = json.loads(text)
+            version = payload.get("format_version")
             doc_mixtures = payload.get("doc_mixtures")
             n_topics = payload["n_topics"]
-            if doc_mixtures is None:
+            if not doc_mixtures:
                 doc_mixtures = np.zeros((0, n_topics))
+            ll = payload.get("final_log_likelihood")
             model = cls(
                 word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
                 doc_mixtures=np.array(doc_mixtures, dtype=np.float64),
@@ -131,13 +144,27 @@ class PlsaModel:
                 seed=payload["seed"],
                 vocab_hash=payload.get("vocab_hash", ""),
                 n_iters=payload.get("n_iters", 0),
-                final_log_likelihood=payload.get("final_log_likelihood", float("nan")),
+                final_log_likelihood=float("nan") if ll is None else float(ll),
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed model: {exc!r}") from exc
-        if model.word_given_topic.ndim != 2:
+        if version != MODEL_FORMAT_VERSION:
+            raise ValidationError(
+                f"unsupported model format_version {version!r} "
+                f"(expected {MODEL_FORMAT_VERSION})")
+        shape = model.word_given_topic.shape
+        if len(shape) != 2 or 0 in shape:
             raise ValidationError("malformed model: word_given_topic must be a "
-                                  "K x M matrix")
+                                  "non-empty K x M matrix")
+        if (model.doc_mixtures.shape[1:] != shape[:1]
+                or model.topic_prior.shape != shape[:1]):
+            raise ValidationError(
+                f"malformed model: doc_mixtures must be N x {shape[0]} and "
+                f"topic_prior of length {shape[0]}")
+        try:
+            model.validate()
+        except NumericError as exc:
+            raise ValidationError(f"invalid model: {exc}") from exc
         return model
 
     def save(self, path, include_doc_mixtures: bool = True) -> None:
@@ -168,7 +195,11 @@ def init_model(n_topics: int, n_words: int, seed: int,
 
 
 def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
-    """Sum of X(w,d) * log P(w|d); zero-probability terms are floored."""
+    """Sum of X(w,d) * log P(w|d); zero-probability terms are floored.
+
+    This is the ``ll`` the E-step kernel computes, so it equals the
+    log-likelihood ``em_step`` reports for the same model.
+    """
     if X.n_words != model.n_words:
         raise ValidationError(
             f"matrix has {X.n_words} words but model expects {model.n_words}")
@@ -176,12 +207,8 @@ def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
         raise ValidationError(
             f"matrix has {X.n_docs} docs but model carries "
             f"{model.doc_mixtures.shape[0]} mixtures")
-    if X.nnz == 0:
-        return 0.0
-    pwd = np.einsum("ik,ki->i",
-                    model.doc_mixtures[X.cols, :],
-                    model.word_given_topic[:, X.rows])
-    return float(np.sum(X.vals * np.log(np.maximum(pwd, _TINY))))
+    return _kernels.em_sufficient_stats(
+        X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures)[3]
 
 
 def em_step(model: PlsaModel, X: CooccurrenceMatrix,

@@ -174,6 +174,34 @@ def trained(tmp_path, collection_file):
     return vocab_path, model_path
 
 
+@pytest.mark.parametrize("command", ["fold-in", "organize"])
+@pytest.mark.parametrize("change", [
+    {"format_version": 99},
+    {"negative_entry": True},
+    {"format_version": 99, "negative_entry": True},
+], ids=["version-99", "negative-entry", "both"])
+def test_invalid_model_exit_2(tmp_path, collection_file, trained, command,
+                              change):
+    vocab_path, model_path = trained
+    payload = json.loads(model_path.read_text())
+    if "negative_entry" in change:  # row still sums to 1
+        row = payload["word_given_topic"][0]
+        row[0] -= 0.5
+        row[1] += 0.5
+    if "format_version" in change:
+        payload["format_version"] = change["format_version"]
+    model_path.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    if command == "fold-in":
+        argv = ["fold-in", str(model_path), str(vocab_path),
+                str(collection_file), "-o", str(out)]
+    else:
+        argv = ["organize", str(collection_file), str(model_path),
+                str(vocab_path), "-o", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
+
+
 def test_non_utf8_input_exit_2(tmp_path, collection_file):
     records = tmp_path / "records.jsonl"
     records.write_bytes(b"\xff\xfe{}\n")
@@ -244,3 +272,15 @@ def test_coherence_counts_only_scored_words(tmp_path, trained, monkeypatch):
     assert seen[0] == top
     assert len(top) < vocab.size
     assert run(tmp_path / "full.json", full_vocab=True) == scored
+
+
+@pytest.mark.parametrize("epsilon", ["1e-200", "nan", "inf"])
+def test_unusable_epsilon_exit_2(tmp_path, trained, epsilon):
+    vocab_path, model_path = trained
+    ref_corpus = tmp_path / "ref.txt"
+    ref_corpus.write_text("apple bread\ndog cat\n")
+    out = tmp_path / "coherence.json"
+    assert main(["coherence", str(model_path), str(vocab_path),
+                 "--ref-corpus", str(ref_corpus), "-o", str(out),
+                 "--epsilon", epsilon]) == 2
+    assert not out.exists()

@@ -93,6 +93,20 @@ class TestBuildCorpusStats:
         assert stats.df == {"dog": 1, "cat": 1}
 
 
+class TestCoherenceConfig:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-12, 1e-200, 1e200,
+                                         float("nan"), float("inf")])
+    def test_unusable_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            CoherenceConfig(epsilon=epsilon)
+
+    def test_smallest_usable_epsilon_scores_absent_pairs(self):
+        stats = build_corpus_stats(["a b", "c"])
+        cfg = CoherenceConfig(epsilon=1e-150)
+        assert math.isfinite(uci_score(["x", "y"], stats, cfg))
+        assert math.isfinite(avg_npmi(["x", "y"], stats, cfg))
+
+
 class TestUciScore:
     def test_four_doc_example_is_zero(self):
         stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"])

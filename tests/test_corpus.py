@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phototopics.corpus import (
+    CooccurrenceMatrix,
     TagRecord,
     Vocabulary,
     build_cooccurrence,
@@ -147,3 +148,46 @@ class TestBuildCooccurrence:
         vocab = Vocabulary(("dog",), 5, 2)
         with pytest.raises(ValidationError):
             vectorize_record(TagRecord("a", "u", ()), vocab, "tfidf")
+        with pytest.raises(ValidationError):
+            build_cooccurrence([], vocab, "tfidf")
+
+    @pytest.mark.parametrize("weighting", ["binary", "confidence"])
+    def test_matches_per_record_reference(self, weighting):
+        rng = np.random.default_rng(3)
+        words = [f"w{i:02d}" for i in range(40)]
+        vocab = Vocabulary(tuple(words[::2]), 5, 2)  # odd words out of vocab
+        for n_records in (0, 1, 7, 60):
+            records = []
+            for j in range(n_records):
+                n_tags = int(rng.integers(0, 12))
+                if j % 5 == 4:  # every tag out of vocabulary
+                    pool = words[1::2]
+                else:
+                    pool = words
+                tags = rng.choice(pool, size=min(n_tags, len(pool)),
+                                  replace=False)  # shuffled tag order
+                records.append(TagRecord(
+                    f"img{j}", "u",
+                    tuple((str(t), float(rng.random())) for t in tags)))
+            X = build_cooccurrence(records, vocab, weighting)
+            ref = reference_cooccurrence(records, vocab, weighting)
+            assert X.doc_ids == ref.doc_ids
+            assert X.n_words == ref.n_words
+            for got, want in ((X.rows, ref.rows), (X.cols, ref.cols),
+                              (X.vals, ref.vals)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
+def reference_cooccurrence(records, vocab, weighting):
+    """One ``vectorize_record`` call per record, columns in record order."""
+    rows, cols, vals = [], [], []
+    for j, rec in enumerate(records):
+        widx, wval = vectorize_record(rec, vocab, weighting)
+        rows.extend(widx.tolist())
+        cols.extend([j] * len(widx))
+        vals.extend(wval.tolist())
+    return CooccurrenceMatrix(vocab.size, [rec.image_id for rec in records],
+                              np.asarray(rows, dtype=np.int64),
+                              np.asarray(cols, dtype=np.int64),
+                              np.asarray(vals, dtype=np.float64))

@@ -94,3 +94,26 @@ def test_numpy_path_deterministic():
     for x, y in zip(a[:3], b[:3]):
         assert np.array_equal(x, y)
     assert a[3] == b[3]
+
+
+def test_em_stats_independent_of_layout_and_entry_order():
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        X = random_corpus(rng)
+        n_topics = int(rng.integers(1, 5))
+        pwz, pzd = _random_params(rng, n_topics, X.n_words, X.n_docs)
+        c_order = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
+        f_order = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz,
+                                               np.asfortranarray(pzd))
+        for a, b in zip(c_order[:3], f_order[:3]):
+            assert np.array_equal(a, b)
+        assert c_order[3] == f_order[3]
+
+        perm = rng.permutation(X.nnz)
+        rows, cols, vals = X.rows[perm], X.cols[perm], X.vals[perm]
+        ref = reference_em_stats(rows, cols, vals, pwz, pzd)
+        got = _kernels.em_sufficient_stats(rows, cols, vals, pwz, pzd)
+        for a, b, c in zip(got[:3], ref[:3], c_order[:3]):
+            np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
+            np.testing.assert_allclose(a, c, atol=1e-12, rtol=1e-12)
+        assert got[3] == pytest.approx(ref[3], rel=1e-12)

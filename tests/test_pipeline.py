@@ -125,6 +125,14 @@ class TestOrganizeCollection:
         assert coll.coverage == coll.recount_coverage() == 5 / 6
 
 
+    def test_duplicate_image_id_rejected(self):
+        model, vocab = _toy_model_and_vocab()
+        records = [TagRecord(i, "u1", (("dog", 0.9),))
+                   for i in ("b", "a", "c", "a", "b")]
+        with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
+            organize_collection(records, model, vocab)
+
+
 class TestEmitManifest:
     def test_deterministic_bytes(self):
         model, vocab = _toy_model_and_vocab()

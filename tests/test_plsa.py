@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,17 @@ class TestLogLikelihood:
         X = make_corpus(np.zeros((2, 0)))
         assert log_likelihood(model, X) == 0.0
 
+    def test_equals_em_step_likelihood(self):
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            X = random_corpus(rng)
+            model = init_model(int(rng.integers(1, 5)), X.n_words,
+                               seed=int(rng.integers(100)), n_docs=X.n_docs)
+            for _ in range(3):
+                new, ll = em_step(model, X)
+                assert log_likelihood(model, X) == ll
+                model = new
+
 
 class TestPermutationEquivariance:
     def test_relabeled_model_permutes_assignments(self):
@@ -264,3 +277,36 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         model.save(path)
         assert PlsaModel.load(path).to_json() == model.to_json()
+
+    def test_non_finite_likelihood_written_as_null(self):
+        def reject(name):
+            raise ValueError(f"bare {name} is not JSON")
+
+        model = init_model(2, 3, seed=0)
+        for ll in (float("nan"), float("inf"), float("-inf")):
+            model.final_log_likelihood = ll
+            text = model.to_json()
+            assert json.loads(text, parse_constant=reject)[
+                "final_log_likelihood"] is None
+            assert np.isnan(PlsaModel.from_json(text).final_log_likelihood)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"format_version": 99}, "format_version"),
+        ({"format_version": None}, "format_version"),
+        ({"word_given_topic": [[1.5, -0.5, 0.0], [0.2, 0.3, 0.5]]},
+         "negative"),
+        ({"word_given_topic": [[0.5, 0.5, 0.5], [0.2, 0.3, 0.5]]},
+         "sum to 1"),
+        ({"topic_prior": [0.5, 0.6]}, "sum to 1"),
+        ({"topic_prior": [1.0]}, "topic_prior"),
+        ({"doc_mixtures": [[0.5, 0.5, 0.0]]}, "doc_mixtures"),
+        ({"doc_mixtures": [[0.5, 0.5], [0.9, 0.9]]}, "sum to 1"),
+        ({"word_given_topic": [[]]}, "K x M"),
+        ({"word_given_topic": [[float("nan"), 0.5, 0.5], [0.2, 0.3, 0.5]]},
+         "non-finite"),
+    ])
+    def test_invalid_model_rejected_at_load(self, change, match):
+        payload = json.loads(init_model(2, 3, seed=0, n_docs=1).to_json())
+        payload.update(change)
+        with pytest.raises(ValidationError, match=match):
+            PlsaModel.from_json(json.dumps(payload))
