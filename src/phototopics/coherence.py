@@ -56,14 +56,14 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def build_corpus_stats(stream, vocab_filter=None) -> CorpusStats:
+def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
     """Single pass over a line-per-document token stream.
 
-    A word counts once per document regardless of repetitions; blank
-    lines are not documents. When ``vocab_filter`` is given, joint
-    frequencies are only tracked for pairs where both words pass the
-    filter, which bounds time and memory on large corpora; document
-    frequencies are always counted for every word.
+    Document and joint frequencies are counted only for the words in
+    the set ``vocab_filter`` (the words that get scored); every other
+    token is ignored. A word counts once per document regardless of
+    repetitions. Every non-blank line is a document, whether or not it
+    holds a counted word.
     """
     n_docs = 0
     df: dict[str, int] = {}
@@ -73,11 +73,9 @@ def build_corpus_stats(stream, vocab_filter=None) -> CorpusStats:
         if not tokens:
             continue
         n_docs += 1
-        unique = sorted(set(tokens))
+        unique = sorted(vocab_filter.intersection(tokens))
         for w in unique:
             df[w] = df.get(w, 0) + 1
-        if vocab_filter is not None:
-            unique = [w for w in unique if w in vocab_filter]
         for a, b in combinations(unique, 2):
             key = (a, b)
             joint[key] = joint.get(key, 0) + 1

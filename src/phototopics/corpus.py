@@ -53,7 +53,13 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.words)})
+        index = {w: i for i, w in enumerate(self.words)}
+        if "" in index:
+            raise ValidationError("vocabulary contains an empty word")
+        if len(index) != len(self.words):
+            dup = next(w for i, w in enumerate(self.words) if index[w] != i)
+            raise ValidationError(f"vocabulary lists {dup!r} more than once")
+        object.__setattr__(self, "index", index)
 
     @property
     def size(self) -> int:
@@ -93,8 +99,9 @@ class CooccurrenceMatrix:
         self.vals = np.asarray(vals, dtype=np.float64)
         if not (len(self.rows) == len(self.cols) == len(self.vals)):
             raise ValidationError("rows, cols and vals must have equal length")
-        if np.any(self.vals < 0):
-            raise ValidationError("co-occurrence counts must be non-negative")
+        if self.nnz and not 0 <= self.vals.min() <= self.vals.max() < np.inf:
+            raise ValidationError(
+                "co-occurrence counts must be finite and non-negative")
         if len(self.rows) and (self.rows.max() >= self.n_words or self.rows.min() < 0):
             raise ValidationError("word index out of range")
         if len(self.cols) and (self.cols.max() >= self.n_docs or self.cols.min() < 0):

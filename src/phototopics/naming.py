@@ -7,6 +7,7 @@ anchors, of the taxonomy word similarity; the argmax name wins.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -143,7 +144,6 @@ def name_topics(model: PlsaModel, vocab: Vocabulary, defs: list[TopicNameDef],
         score_rows.append(score_topic_names(tags, defs, graph))
     score_matrix = np.vstack(score_rows)
 
-    names: list[str] = []
     if distinct:
         from scipy.optimize import linear_sum_assignment
 
@@ -158,9 +158,7 @@ def name_topics(model: PlsaModel, vocab: Vocabulary, defs: list[TopicNameDef],
         if not np.any(row > 0.0):
             names[k] = NULL_TOPIC_NAME
 
-    counts: dict[str, int] = {}
-    for name in names:
-        counts[name] = counts.get(name, 0) + 1
+    counts = Counter(names)
     result = []
     for k, name in enumerate(names):
         flagged = counts[name] > 1 or name == NULL_TOPIC_NAME

@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import plsa
 from .corpus import TagRecord, Vocabulary, tag_record_from_dict, vectorize_record
-from .exceptions import TransportError, ValidationError
+from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
 
@@ -133,14 +133,10 @@ def fold_in_records(records: list[TagRecord], model: PlsaModel,
     """Lazily yield ``(record, mixture)`` for each record, in the given order.
 
     The model must be bound to the same vocabulary the records are
-    vectorized with; a hash mismatch is a hard error, raised before the
-    first record, because silently misaligned word indices would corrupt
-    every mixture.
+    vectorized with (``plsa.check_vocabulary``); a mismatch is raised
+    before the first record.
     """
-    if model.vocab_hash and model.vocab_hash != vocab.digest():
-        raise ValidationError(
-            "model was trained against a different vocabulary "
-            f"(hash {model.vocab_hash[:12]}... != {vocab.digest()[:12]}...)")
+    plsa.check_vocabulary(model, vocab)
     return ((rec, plsa.fold_in(model, *vectorize_record(rec, vocab, weighting)))
             for rec in records)
 
@@ -154,7 +150,10 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     """Fold in every record, assign topics and attach category scores.
 
     Image ids must be unique: a repeated id would appear twice in the
-    manifest and count twice towards coverage.
+    manifest and count twice towards coverage. Records are processed in
+    image-id order, so their input order cannot change the result;
+    without ``collection_id`` the manifest takes the collection of the
+    record with the lowest image id.
     """
     seen: set[str] = set()
     for rec in records:
@@ -166,23 +165,19 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
             "naming result must name every topic once, in topic order")
     topic_names = ([n.name for n in names] if names is not None
                    else [f"Topic {k}" for k in range(model.n_topics)])
+    ordered = sorted(records, key=lambda r: r.image_id)
     if collection_id is None:
-        collection_id = records[0].collection_id if records else ""
+        collection_id = ordered[0].collection_id if ordered else ""
 
     entries = []
-    ordered = sorted(records, key=lambda r: r.image_id)
     for rec, mixture in fold_in_records(ordered, model, vocab, weighting):
         topic, _max_prob = plsa.assign_topic(mixture, threshold)
-        if topic is None:
-            entry = ImageEntry(rec.image_id, NULL_TOPIC_NAME,
-                               tuple(float(x) for x in mixture))
-        else:
-            entry = ImageEntry(rec.image_id, topic_names[topic],
-                               tuple(float(x) for x in mixture))
-            if scores is not None:
-                best = scores.best_for_topic(rec.image_id, topic_names[topic])
-                if best is not None:
-                    entry.category, entry.category_score = best[0], float(best[1])
+        name = NULL_TOPIC_NAME if topic is None else topic_names[topic]
+        entry = ImageEntry(rec.image_id, name, tuple(float(x) for x in mixture))
+        if topic is not None and scores is not None:
+            best = scores.best_for_topic(rec.image_id, name)
+            if best is not None:
+                entry.category, entry.category_score = best[0], float(best[1])
         entries.append(entry)
 
     collection = OrganizedCollection(
@@ -218,17 +213,12 @@ def emit_manifest(collection: OrganizedCollection, sink) -> int:
             }
             for e in sorted(collection.entries, key=lambda e: e.image_id)
         ],
-        "index": {
-            topic: {cat: ids for cat, ids in cats.items()}
-            for topic, cats in collection.index.items()
-        },
+        "index": collection.index,
     }
     data = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
     try:
         sink.write(data)
     except OSError as exc:
-        from .exceptions import InputOutputError
-
         raise InputOutputError(f"manifest write failed: {exc}") from exc
     return len(data)
 

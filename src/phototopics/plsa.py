@@ -45,20 +45,11 @@ class TrainConfig:
             raise ValidationError("n_topics must be >= 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
-        if self.smoothing < 0:
-            raise ValidationError("smoothing must be >= 0")
-
-
-@dataclass(frozen=True)
-class TopicAssignment:
-    """Dominant topic for one image; ``topic`` is None for the Null topic."""
-
-    image_id: str
-    mixture: tuple[float, ...]
-    topic: int | None
-    max_prob: float
+        if not 0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be finite and > 0; got {self.tol!r}")
+        if not 0 <= self.smoothing < math.inf:
+            raise ValidationError(
+                f"smoothing must be finite and >= 0; got {self.smoothing!r}")
 
 
 class PlsaModel:
@@ -200,6 +191,11 @@ def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
     This is the ``ll`` the E-step kernel computes, so it equals the
     log-likelihood ``em_step`` reports for the same model.
     """
+    return _sufficient_stats(model, X)[3]
+
+
+def _sufficient_stats(model: PlsaModel, X: CooccurrenceMatrix):
+    """The E-step kernel's ``(nwz, nzd, nz, ll)`` for ``model`` over ``X``."""
     if X.n_words != model.n_words:
         raise ValidationError(
             f"matrix has {X.n_words} words but model expects {model.n_words}")
@@ -208,7 +204,7 @@ def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
             f"matrix has {X.n_docs} docs but model carries "
             f"{model.doc_mixtures.shape[0]} mixtures")
     return _kernels.em_sufficient_stats(
-        X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures)[3]
+        X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures)
 
 
 def em_step(model: PlsaModel, X: CooccurrenceMatrix,
@@ -220,14 +216,8 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     the posterior-weighted counts; ``smoothing`` is added to the P(w|z)
     numerators. A topic with zero total mass is reset to a uniform row.
     """
-    if X.n_words != model.n_words:
-        raise ValidationError(
-            f"matrix has {X.n_words} words but model expects {model.n_words}")
-    if X.n_docs != model.doc_mixtures.shape[0]:
-        raise ValidationError("matrix document count does not match model")
     n_topics, n_words = model.word_given_topic.shape
-    nwz, nzd, nz, ll = _kernels.em_sufficient_stats(
-        X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures)
+    nwz, nzd, nz, ll = _sufficient_stats(model, X)
 
     nwz = nwz + smoothing
     row_mass = nwz.sum(axis=1)
@@ -265,15 +255,10 @@ def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
     if vocab is not None:
         model.vocab_hash = vocab.digest()
     prev_ll = None
-    n_iters = 0
-    for _ in range(cfg.max_iters):
+    for n_iters in range(1, cfg.max_iters + 1):
         model, ll = em_step(model, X, smoothing=cfg.smoothing)
-        n_iters += 1
-        if prev_ll is not None:
-            denom = max(abs(prev_ll), 1.0)
-            if abs(ll - prev_ll) / denom < cfg.tol:
-                prev_ll = ll
-                break
+        if prev_ll is not None and abs(ll - prev_ll) / max(abs(prev_ll), 1.0) < cfg.tol:
+            break
         prev_ll = ll
     model.n_iters = n_iters
     model.final_log_likelihood = log_likelihood(model, X)
@@ -290,8 +275,13 @@ def fold_in(model: PlsaModel, word_indices, word_values,
     """
     widx = np.asarray(word_indices, dtype=np.int64)
     wval = np.asarray(word_values, dtype=np.float64)
+    if widx.ndim != 1 or widx.shape != wval.shape:
+        raise ValidationError(
+            "word indices and values must be 1-D and of equal length")
     if len(widx) and (widx.min() < 0 or widx.max() >= model.n_words):
         raise ValidationError("word index out of range for model")
+    if len(wval) and not 0 <= wval.min() <= wval.max() < np.inf:
+        raise ValidationError("word values must be finite and non-negative")
     return _kernels.fold_in_kernel(widx, wval, model.word_given_topic,
                                    max_iters, tol)
 
@@ -311,6 +301,22 @@ def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD
     return topic, max_prob
 
 
+def check_vocabulary(model: PlsaModel, vocab: Vocabulary) -> None:
+    """Reject a vocabulary the model was not trained against.
+
+    Word indices are positions in the vocabulary, so a vocabulary of
+    another size or order would silently misalign every word. The hash
+    is compared only when the model records one.
+    """
+    if vocab.size != model.n_words:
+        raise ValidationError(
+            f"vocabulary has {vocab.size} words but model expects {model.n_words}")
+    if model.vocab_hash and model.vocab_hash != vocab.digest():
+        raise ValidationError(
+            "model was trained against a different vocabulary "
+            f"(hash {model.vocab_hash[:12]}... != {vocab.digest()[:12]}...)")
+
+
 def top_words(model: PlsaModel, vocab: Vocabulary, topic: int,
               n_top: int = DEFAULT_TOP_WORDS) -> list[tuple[str, float]]:
     """Highest-probability words of one topic, ties broken lexicographically."""
@@ -318,8 +324,7 @@ def top_words(model: PlsaModel, vocab: Vocabulary, topic: int,
         raise ValidationError(f"topic {topic} out of range")
     if n_top < 1:
         raise ValidationError("n_top must be >= 1")
-    if vocab.size != model.n_words:
-        raise ValidationError("vocabulary size does not match model")
+    check_vocabulary(model, vocab)
     probs = model.word_given_topic[topic]
     order = sorted(range(vocab.size), key=lambda i: (-probs[i], vocab.words[i]))
     return [(vocab.words[i], float(probs[i])) for i in order[:n_top]]

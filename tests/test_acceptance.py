@@ -132,12 +132,13 @@ def test_criterion_8_coherence_oracle_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(100):
         docs, words = _random_docs(rng, max_docs=10, max_words=8)
-        stats = coh.build_corpus_stats(docs)
+        stats = coh.build_corpus_stats(docs, vocab_filter=set(words))
         exp_uci, exp_umass, exp_npmi = brute_force_scores(docs, words)
         assert abs(coh.uci_score(words, stats) - exp_uci) < 1e-12
         assert abs(coh.umass_score(words, stats) - exp_umass) < 1e-12
         assert abs(coh.avg_npmi(words, stats) - exp_npmi) < 1e-12
-    stats = coh.build_corpus_stats(["w1", "w1 w2", "w2", "x"])
+    stats = coh.build_corpus_stats(["w1", "w1 w2", "w2", "x"],
+                                   vocab_filter={"w1", "w2"})
     assert abs(coh.uci_score(["w1", "w2"], stats)) < 1e-9
     assert abs(coh.umass_score(["w1", "w2"], stats) - math.log(0.5)) < 1e-9
     _report(8, "coherence matches brute-force oracle on 100 corpora")

@@ -284,3 +284,55 @@ def test_unusable_epsilon_exit_2(tmp_path, trained, epsilon):
                  "--ref-corpus", str(ref_corpus), "-o", str(out),
                  "--epsilon", epsilon]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["name-topics", "coherence"])
+def test_reordered_vocab_exit_2(tmp_path, trained, command):
+    vocab_path, model_path = trained
+    reordered = tmp_path / "reordered.txt"
+    reordered.write_text("".join(
+        w + "\n" for w in reversed(vocab_path.read_text().splitlines())))
+    ref_corpus = tmp_path / "ref.txt"
+    ref_corpus.write_text(" ".join(FOOD_WORDS) + "\n")
+    tax, lex, ic = _taxonomy_files(tmp_path)
+    out = tmp_path / "out.json"
+    argv = {
+        "name-topics": ["name-topics", str(model_path), str(reordered),
+                        "--taxonomy", str(tax), "--lexicon", str(lex),
+                        "--ic", str(ic)],
+        "coherence": ["coherence", str(model_path), str(reordered),
+                      "--ref-corpus", str(ref_corpus)],
+    }[command]
+    assert main(argv + ["-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_duplicate_vocabulary_word_exit_2(tmp_path, collection_file, trained):
+    vocab_path, model_path = trained
+    words = vocab_path.read_text().splitlines()
+    doubled = tmp_path / "doubled.txt"
+    doubled.write_text("".join(w + "\n" for w in words + words[:1]))
+    assert main(["train", str(collection_file), str(doubled),
+                 "-o", str(tmp_path / "m.json"), "--topics", "2"]) == 2
+    assert main(["fold-in", str(model_path), str(doubled),
+                 str(collection_file), "-o", str(tmp_path / "f.jsonl")]) == 2
+
+
+def test_empty_tag_in_vocabulary_exit_2(tmp_path):
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        tag_record_line(f"img{i}", f"u{i % 2}", [("", 0.5), ("dog", 0.5)])
+        + "\n" for i in range(4)))
+    vocab_path = tmp_path / "vocab.txt"
+    assert main(["build-vocab", str(records), "-o", str(vocab_path),
+                 "--min-count", "1"]) == 2
+    assert not vocab_path.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_exit_2(tmp_path, collection_file, trained, tol):
+    vocab_path, _model_path = trained
+    model_path = tmp_path / "m.json"
+    assert main(["train", str(collection_file), str(vocab_path),
+                 "-o", str(model_path), "--topics", "2", "--tol", tol]) == 2
+    assert not model_path.exists()

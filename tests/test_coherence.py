@@ -62,34 +62,37 @@ def brute_force_scores(docs, words, epsilon=EPS):
 
 class TestBuildCorpusStats:
     def test_counting(self):
-        stats = build_corpus_stats(["a b", "b c"])
+        stats = build_corpus_stats(["a b", "b c"], vocab_filter={"a", "b", "c"})
         assert stats.n_docs == 2
         assert stats.df == {"a": 1, "b": 2, "c": 1}
         assert stats.p_joint("a", "b") == 0.5
         assert stats.p_joint("b", "a") == 0.5
 
     def test_duplicate_word_counts_once_per_doc(self):
-        stats = build_corpus_stats(["a a a b"])
+        stats = build_corpus_stats(["a a a b"], vocab_filter={"a", "b"})
         assert stats.df["a"] == 1
         assert stats.p_joint("a", "b") == 1.0
 
     def test_four_doc_example(self):
-        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"])
+        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"],
+                                   vocab_filter={"w1", "w2"})
+        assert stats.n_docs == 4
         assert stats.df["w1"] == stats.df["w2"] == 2
         assert stats.p_joint("w1", "w2") == 0.25
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            build_corpus_stats([])
+            build_corpus_stats([], vocab_filter={"a"})
 
     def test_vocab_filter_bounds_joint_pairs(self):
-        stats = build_corpus_stats(["a b c"], vocab_filter={"a", "b"})
-        assert stats.p_joint("a", "b") == 1.0
+        stats = build_corpus_stats(["a b c", "c"], vocab_filter={"a", "b"})
+        assert stats.n_docs == 2  # a line without a counted word is a document
+        assert stats.p_joint("a", "b") == 0.5
         assert stats.p_joint("a", "c") == 0.0
-        assert stats.df["c"] == 1  # marginals are unfiltered
+        assert stats.df == {"a": 1, "b": 1}  # "c" is not counted
 
     def test_lowercased(self):
-        stats = build_corpus_stats(["Dog CAT"])
+        stats = build_corpus_stats(["Dog CAT"], vocab_filter={"dog", "cat"})
         assert stats.df == {"dog": 1, "cat": 1}
 
 
@@ -101,7 +104,7 @@ class TestCoherenceConfig:
             CoherenceConfig(epsilon=epsilon)
 
     def test_smallest_usable_epsilon_scores_absent_pairs(self):
-        stats = build_corpus_stats(["a b", "c"])
+        stats = build_corpus_stats(["a b", "c"], vocab_filter={"x", "y"})
         cfg = CoherenceConfig(epsilon=1e-150)
         assert math.isfinite(uci_score(["x", "y"], stats, cfg))
         assert math.isfinite(avg_npmi(["x", "y"], stats, cfg))
@@ -109,31 +112,33 @@ class TestCoherenceConfig:
 
 class TestUciScore:
     def test_four_doc_example_is_zero(self):
-        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"])
+        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"],
+                                   vocab_filter={"w1", "w2"})
         assert uci_score(["w1", "w2"], stats) == pytest.approx(0.0, abs=1e-9)
 
     def test_always_cooccurring_near_zero(self):
-        stats = build_corpus_stats(["a b", "a b"])
+        stats = build_corpus_stats(["a b", "a b"], vocab_filter={"a", "b"})
         assert uci_score(["a", "b"], stats) == pytest.approx(0.0, abs=1e-9)
 
     def test_too_few_words_rejected(self):
-        stats = build_corpus_stats(["a"])
+        stats = build_corpus_stats(["a"], vocab_filter={"a"})
         with pytest.raises(ValidationError):
             uci_score(["a"], stats)
 
 
 class TestUmassScore:
     def test_always_cooccurring_near_zero(self):
-        stats = build_corpus_stats(["a b", "a b"])
+        stats = build_corpus_stats(["a b", "a b"], vocab_filter={"a", "b"})
         assert umass_score(["a", "b"], stats) == pytest.approx(0.0, abs=1e-9)
 
     def test_four_doc_example(self):
-        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"])
+        stats = build_corpus_stats(["w1", "w1 w2", "w2", "x"],
+                                   vocab_filter={"w1", "w2"})
         assert umass_score(["w1", "w2"], stats) == pytest.approx(
             math.log(0.5), abs=1e-9)
 
     def test_absent_conditioning_word_warns(self):
-        stats = build_corpus_stats(["a b"])
+        stats = build_corpus_stats(["a b"], vocab_filter={"yy", "zz"})
         with pytest.warns(RuntimeWarning):
             # both absent, so the conditioning word has zero frequency
             assert umass_score(["yy", "zz"], stats) == pytest.approx(0.0)
@@ -142,22 +147,22 @@ class TestUmassScore:
 class TestAvgNpmi:
     def test_independent_words_near_zero(self):
         # joint 0.25 = 0.5 * 0.5
-        stats = build_corpus_stats(["a b", "a", "b", "x"])
+        stats = build_corpus_stats(["a b", "a", "b", "x"], vocab_filter={"a", "b"})
         assert avg_npmi(["a", "b"], stats) == pytest.approx(0.0, abs=1e-9)
 
     def test_perfect_rare_pair_tends_to_one(self):
-        stats = build_corpus_stats(["a b", "x", "y", "z"])
+        stats = build_corpus_stats(["a b", "x", "y", "z"], vocab_filter={"a", "b"})
         assert avg_npmi(["a", "b"], stats) == pytest.approx(1.0, abs=1e-9)
 
     def test_certain_pair_contributes_exactly_one(self):
-        stats = build_corpus_stats(["a b"])
+        stats = build_corpus_stats(["a b"], vocab_filter={"a", "b"})
         assert avg_npmi(["a", "b"], stats) == 1.0
 
     def test_bounded(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             docs, words = _random_docs(rng)
-            val = avg_npmi(words, build_corpus_stats(docs))
+            val = avg_npmi(words, build_corpus_stats(docs, vocab_filter=set(words)))
             assert -1.0 - 1e-6 <= val <= 1.0 + 1e-6
 
 
@@ -181,7 +186,7 @@ class TestOracleEquivalence:
         stats_cfg = CoherenceConfig(top_n=2, epsilon=EPS)
         for _ in range(100):
             docs, words = _random_docs(rng)
-            stats = build_corpus_stats(docs)
+            stats = build_corpus_stats(docs, vocab_filter=set(words))
             exp_uci, exp_umass, exp_npmi = brute_force_scores(docs, words)
             assert uci_score(words, stats, stats_cfg) == pytest.approx(
                 exp_uci, abs=1e-12)
@@ -194,7 +199,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(17)
         for _ in range(20):
             docs, words = _random_docs(rng)
-            stats = build_corpus_stats(docs)
+            stats = build_corpus_stats(docs, vocab_filter=set(words))
             shuffled = list(words)
             rng.shuffle(shuffled)
             for fn in (uci_score, umass_score, avg_npmi):

@@ -107,6 +107,12 @@ class TestBuildVocabulary:
         v2 = Vocabulary(("a", "c"), 5, 2)
         assert v1.digest() != v2.digest()
 
+    @pytest.mark.parametrize("words", [("a", "b", "a"), ("a", ""), ("",)],
+                             ids=["duplicate", "empty", "only-empty"])
+    def test_duplicate_or_empty_word_rejected(self, words):
+        with pytest.raises(ValidationError, match="more than once|empty"):
+            Vocabulary(words, 5, 2)
+
     def test_save_load_roundtrip(self, tmp_path):
         v = Vocabulary(("ant", "bee", "cat"), 5, 2)
         path = tmp_path / "vocab.txt"
@@ -143,6 +149,11 @@ class TestBuildCooccurrence:
         X = build_cooccurrence(recs, vocab)
         sums = X.to_dense().sum(axis=0)
         assert sums.tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize("val", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, val):
+        with pytest.raises(ValidationError, match="finite"):
+            CooccurrenceMatrix(1, ["a", "b"], [0, 0], [0, 1], [1.0, val])
 
     def test_unknown_weighting_rejected(self):
         vocab = Vocabulary(("dog",), 5, 2)

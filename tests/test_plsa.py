@@ -105,6 +105,14 @@ class TestEmStep:
             em_step(model, X)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["tol", "smoothing"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
+
+
 class TestTrain:
     def test_identical_documents_get_identical_mixtures(self):
         X = make_corpus([[1, 1, 1], [1, 1, 1]])
@@ -162,6 +170,18 @@ class TestFoldIn:
             mixture = fold_in(model, widx, wval)
             assert np.abs(mixture - model.doc_mixtures[j]).max() < 1e-3
 
+    @pytest.mark.parametrize("widx, wval", [
+        ([0, 1], [1.0]),
+        ([0], [1.0, 1.0]),
+        ([0], [float("nan")]),
+        ([0], [float("inf")]),
+        ([0, 1], [1.0, -1.0]),
+    ], ids=["fewer-values", "more-values", "nan", "inf", "negative"])
+    def test_malformed_document_rejected(self, widx, wval):
+        model = init_model(2, 3, seed=0)
+        with pytest.raises(ValidationError):
+            fold_in(model, widx, wval)
+
     def test_out_of_range_word_rejected(self):
         model = init_model(2, 3, seed=0)
         with pytest.raises(ValidationError):
@@ -203,6 +223,17 @@ class TestTopWords:
         model = self._model([1 / 3, 1 / 3, 1 / 3])
         words = [w for w, _p in top_words(model, vocab, 0, 2)]
         assert words == ["a", "b"]
+
+    def test_reordered_vocabulary_rejected_when_model_has_hash(self):
+        vocab = Vocabulary(("x", "y", "z"), 5, 2)
+        reordered = Vocabulary(("z", "y", "x"), 5, 2)
+        model = self._model([0.5, 0.3, 0.2])
+        # a model without a vocabulary hash is only checked by size
+        assert top_words(model, reordered, 0, 1) == [("z", 0.5)]
+        model.vocab_hash = vocab.digest()
+        assert top_words(model, vocab, 0, 1) == [("x", 0.5)]
+        with pytest.raises(ValidationError, match="different vocabulary"):
+            top_words(model, reordered, 0, 1)
 
     def test_truncates_when_q_exceeds_vocab(self):
         vocab = Vocabulary(("a", "b"), 5, 2)
