@@ -44,34 +44,28 @@ def _read_names_result(path) -> list[nm.TopicNaming]:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"names result is not JSON: {exc}") from exc
     try:
-        return [nm.TopicNaming(topic=e["topic"], name=e["name"],
-                               scores=tuple(e["scores"]),
-                               duplicate=e["duplicate"])
-                for e in sorted(payload, key=lambda e: e["topic"])]
+        names = [nm.TopicNaming(topic=e["topic"], name=e["name"],
+                                scores=tuple(e["scores"]),
+                                duplicate=e["duplicate"])
+                 for e in sorted(payload, key=lambda e: e["topic"])]
     except (KeyError, TypeError) as exc:
         raise ValidationError(
             "names result must be a list of objects with topic, name, "
             f"scores and duplicate ({exc!r})") from exc
+    if not all(isinstance(n.name, str) for n in names):
+        raise ValidationError("names result: every name must be a string")
+    return names
 
 
 def _load_graph(args):
-    ic_stream = counts_stream = None
-    try:
-        tax = open(args.taxonomy, encoding="utf-8")
-        lex = open(args.lexicon, encoding="utf-8")
-        if args.ic:
-            ic_stream = open(args.ic, encoding="utf-8")
-        elif args.ic_counts:
-            counts_stream = open(args.ic_counts, encoding="utf-8")
-        try:
-            return load_taxonomy(tax, lex, ic_stream=ic_stream,
-                                 counts_stream=counts_stream)
-        finally:
-            for f in (tax, lex, ic_stream, counts_stream):
-                if f is not None:
-                    f.close()
-    except OSError as exc:
-        raise InputOutputError(str(exc)) from exc
+    with contextlib.ExitStack() as stack:
+        def read(path):
+            return stack.enter_context(open(path, encoding="utf-8"))
+
+        tax, lex = read(args.taxonomy), read(args.lexicon)
+        ic = read(args.ic) if args.ic else None
+        counts = read(args.ic_counts) if args.ic_counts and not args.ic else None
+        return load_taxonomy(tax, lex, ic_stream=ic, counts_stream=counts)
 
 
 def cmd_build_vocab(args) -> int:
@@ -140,11 +134,8 @@ def cmd_coherence(args) -> int:
     top = [[w for w, _p in plsa.top_words(model, vocab, k, cfg.top_n)]
            for k in range(model.n_topics)]
     scored = {w for words in top for w in words}
-    try:
-        with open(args.ref_corpus, encoding="utf-8") as f:
-            stats = coh.build_corpus_stats(f, vocab_filter=scored)
-    except OSError as exc:
-        raise InputOutputError(str(exc)) from exc
+    with open(args.ref_corpus, encoding="utf-8") as f:
+        stats = coh.build_corpus_stats(f, vocab_filter=scored)
     rows = []
     for k, words in enumerate(top):
         rows.append({

@@ -20,9 +20,23 @@ DEFAULT_MIN_COUNT = 5
 DEFAULT_MIN_COLLECTIONS = 2
 
 
+# A vocabulary file holds one word per line and skips blank lines.
+_NOT_A_WORD = "is empty or blank, or contains a line break"
+
+
+def _is_word(token: str) -> bool:
+    """True if ``token`` survives a round trip through a vocabulary file."""
+    return bool(token.strip()) and "\n" not in token and "\r" not in token
+
+
 @dataclass(frozen=True)
 class TagRecord:
-    """One image's tags with confidences. Tags are lowercase and unique."""
+    """One image's tags with confidences.
+
+    Tags are unique and each one is a word a vocabulary file can hold.
+    ``tag_record_from_dict`` lowercases the tags and range-checks the
+    confidences.
+    """
 
     image_id: str
     collection_id: str
@@ -32,15 +46,13 @@ class TagRecord:
         if not self.image_id:
             raise ValidationError("image_id must be non-empty")
         seen = set()
-        for tag, conf in self.tags:
+        for tag, _conf in self.tags:
             if tag in seen:
                 raise ValidationError(f"duplicate tag {tag!r} in record {self.image_id!r}")
             seen.add(tag)
-            if not 0.0 <= conf <= 1.0:
+            if not _is_word(tag):
                 raise ValidationError(
-                    f"confidence {conf} for tag {tag!r} in record {self.image_id!r} "
-                    "is outside [0, 1]"
-                )
+                    f"tag {tag!r} in record {self.image_id!r} {_NOT_A_WORD}")
 
 
 @dataclass(frozen=True)
@@ -48,14 +60,13 @@ class Vocabulary:
     """Ordered, filtered tag vocabulary; positions 0..M-1 are significant."""
 
     words: tuple[str, ...]
-    min_count: int
-    min_collections: int
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        bad = next((w for w in self.words if not _is_word(w)), None)
+        if bad is not None:
+            raise ValidationError(f"vocabulary word {bad!r} {_NOT_A_WORD}")
         index = {w: i for i, w in enumerate(self.words)}
-        if "" in index:
-            raise ValidationError("vocabulary contains an empty word")
         if len(index) != len(self.words):
             dup = next(w for i, w in enumerate(self.words) if index[w] != i)
             raise ValidationError(f"vocabulary lists {dup!r} more than once")
@@ -75,11 +86,9 @@ class Vocabulary:
                 f.write(w + "\n")
 
     @classmethod
-    def load(cls, path, min_count: int = DEFAULT_MIN_COUNT,
-             min_collections: int = DEFAULT_MIN_COLLECTIONS) -> "Vocabulary":
+    def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
-            words = tuple(line.rstrip("\n") for line in f if line.strip())
-        return cls(words=words, min_count=min_count, min_collections=min_collections)
+            return cls(tuple(line.rstrip("\n") for line in f if line.strip()))
 
 
 class CooccurrenceMatrix:
@@ -134,7 +143,8 @@ def tag_record_from_dict(obj) -> TagRecord:
     """One tag record from its decoded JSON object.
 
     Tags are lowercased; duplicate tags are merged keeping the maximum
-    confidence.
+    confidence. Each confidence is range-checked before the merge, which
+    would otherwise hide a bad value behind a larger one.
     """
     try:
         image_id = obj["image_id"]
@@ -204,8 +214,7 @@ def build_vocabulary(records: list[TagRecord],
         tag for tag, n in counts.items()
         if n > min_count and len(collections[tag]) >= min_collections
     )
-    return Vocabulary(words=tuple(words), min_count=min_count,
-                      min_collections=min_collections)
+    return Vocabulary(tuple(words))
 
 
 def _check_weighting(weighting: str) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .plsa import DEFAULT_TOP_WORDS, PlsaModel, top_words
 from .corpus import Vocabulary
-from .taxonomy import TaxonomyGraph, max_lin_similarity
+from .taxonomy import TaxonomyGraph, max_lin_similarity, read_tsv
 
 NULL_TOPIC_NAME = "Null"
 
@@ -69,25 +69,14 @@ def parse_name_defs(stream) -> list[TopicNameDef]:
     the colon.
     """
     defs = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValidationError(
-                f"malformed name-defs line {lineno}: expected 3 fields")
+    for _lineno, (name, *fields) in read_tsv(stream, "name-defs", 3):
         anchors = []
         pinned = []
-        for raw in parts[1:]:
-            if ":" in raw:
-                token, _, synsets = raw.partition(":")
-                pinned.append(tuple(s.strip() for s in synsets.split(",") if s.strip()))
-            else:
-                token = raw
-                pinned.append(())
+        for raw in fields:
+            token, _, synsets = raw.partition(":")
+            pinned.append(tuple(s.strip() for s in synsets.split(",") if s.strip()))
             anchors.append(token.strip().lower())
-        defs.append(TopicNameDef(name=parts[0], anchors=(anchors[0], anchors[1]),
+        defs.append(TopicNameDef(name=name, anchors=(anchors[0], anchors[1]),
                                  pinned_synsets=(pinned[0], pinned[1])))
     if not defs:
         raise ValidationError("name-defs file contains no definitions")

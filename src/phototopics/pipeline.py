@@ -8,7 +8,7 @@ scores, and emits a deterministic hierarchical manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from . import plsa
@@ -16,6 +16,7 @@ from .corpus import TagRecord, Vocabulary, tag_record_from_dict, vectorize_recor
 from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
+from .taxonomy import read_tsv
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -27,14 +28,8 @@ def load_category_registry(stream=None) -> dict[str, set[str]]:
             "category_registry.tsv").read_text("utf-8")
         stream = text.splitlines()
     registry: dict[str, set[str]] = {}
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValidationError(f"malformed registry line {lineno}")
-        registry.setdefault(parts[0], set()).add(parts[1])
+    for _lineno, (topic, category) in read_tsv(stream, "registry", 2):
+        registry.setdefault(topic, set()).add(category)
     return registry
 
 
@@ -108,13 +103,7 @@ class OrganizedCollection:
     model_hash: str
     entries: list[ImageEntry]
     coverage: float
-    index: dict[str, dict[str, list[str]]] = field(default_factory=dict)
-
-    def recount_coverage(self) -> float:
-        if not self.entries:
-            return 0.0
-        hit = sum(1 for e in self.entries if e.topic_name != NULL_TOPIC_NAME)
-        return hit / len(self.entries)
+    index: dict[str, dict[str, list[str]]]
 
 
 def _build_index(entries: list[ImageEntry]) -> dict[str, dict[str, list[str]]]:
@@ -145,15 +134,13 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                         vocab: Vocabulary, names: list[TopicNaming] | None = None,
                         threshold: float = DEFAULT_NULL_THRESHOLD,
                         scores: CategoryScores | None = None,
-                        weighting: str = "binary",
-                        collection_id: str | None = None) -> OrganizedCollection:
+                        weighting: str = "binary") -> OrganizedCollection:
     """Fold in every record, assign topics and attach category scores.
 
     Image ids must be unique: a repeated id would appear twice in the
     manifest and count twice towards coverage. Records are processed in
-    image-id order, so their input order cannot change the result;
-    without ``collection_id`` the manifest takes the collection of the
-    record with the lowest image id.
+    image-id order, so their input order cannot change the result; the
+    manifest takes the collection of the record with the lowest image id.
     """
     seen: set[str] = set()
     for rec in records:
@@ -166,8 +153,6 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     topic_names = ([n.name for n in names] if names is not None
                    else [f"Topic {k}" for k in range(model.n_topics)])
     ordered = sorted(records, key=lambda r: r.image_id)
-    if collection_id is None:
-        collection_id = ordered[0].collection_id if ordered else ""
 
     entries = []
     for rec, mixture in fold_in_records(ordered, model, vocab, weighting):
@@ -180,16 +165,14 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                 entry.category, entry.category_score = best[0], float(best[1])
         entries.append(entry)
 
-    collection = OrganizedCollection(
-        collection_id=collection_id,
+    hit = sum(1 for e in entries if e.topic_name != NULL_TOPIC_NAME)
+    return OrganizedCollection(
+        collection_id=ordered[0].collection_id if ordered else "",
         model_hash=model.vocab_hash,
         entries=entries,
-        coverage=0.0,
-        index={},
+        coverage=hit / len(entries) if entries else 0.0,
+        index=_build_index(entries),
     )
-    collection.coverage = collection.recount_coverage()
-    collection.index = _build_index(entries)
-    return collection
 
 
 def emit_manifest(collection: OrganizedCollection, sink) -> int:

@@ -26,6 +26,9 @@ DEFAULT_TOL = 1e-6
 DEFAULT_SMOOTHING = 1e-10
 DEFAULT_NULL_THRESHOLD = 0.035
 DEFAULT_TOP_WORDS = 10
+FOLD_IN_MAX_ITERS = 200
+FOLD_IN_TOL = 1e-10
+ROW_SUM_ATOL = 1e-9
 
 MODEL_FORMAT_VERSION = 1
 
@@ -79,7 +82,7 @@ class PlsaModel:
     def n_words(self) -> int:
         return self.word_given_topic.shape[1]
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         for name, arr in (("word_given_topic", self.word_given_topic),
                           ("doc_mixtures", self.doc_mixtures),
                           ("topic_prior", self.topic_prior)):
@@ -89,12 +92,12 @@ class PlsaModel:
                 raise NumericError(f"negative entry in {name}")
         for name, arr in (("word_given_topic", self.word_given_topic),
                           ("doc_mixtures", self.doc_mixtures)):
-            if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > atol:
+            if arr.size and np.max(np.abs(arr.sum(axis=1) - 1.0)) > ROW_SUM_ATOL:
                 raise NumericError(f"row of {name} does not sum to 1")
-        if abs(self.topic_prior.sum() - 1.0) > atol:
+        if abs(self.topic_prior.sum() - 1.0) > ROW_SUM_ATOL:
             raise NumericError("topic_prior does not sum to 1")
 
-    def to_json(self, include_doc_mixtures: bool = True) -> str:
+    def to_json(self) -> str:
         """Model as JSON; a non-finite log-likelihood is written as null."""
         ll = self.final_log_likelihood
         payload = {
@@ -107,9 +110,8 @@ class PlsaModel:
             "final_log_likelihood": ll if math.isfinite(ll) else None,
             "topic_prior": self.topic_prior.tolist(),
             "word_given_topic": self.word_given_topic.tolist(),
+            "doc_mixtures": self.doc_mixtures.tolist(),
         }
-        if include_doc_mixtures:
-            payload["doc_mixtures"] = self.doc_mixtures.tolist()
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
@@ -143,6 +145,8 @@ class PlsaModel:
             raise ValidationError(
                 f"unsupported model format_version {version!r} "
                 f"(expected {MODEL_FORMAT_VERSION})")
+        if not isinstance(model.vocab_hash, str):
+            raise ValidationError("malformed model: vocab_hash must be a string")
         shape = model.word_given_topic.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("malformed model: word_given_topic must be a "
@@ -158,9 +162,9 @@ class PlsaModel:
             raise ValidationError(f"invalid model: {exc}") from exc
         return model
 
-    def save(self, path, include_doc_mixtures: bool = True) -> None:
+    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_json(include_doc_mixtures=include_doc_mixtures))
+            f.write(self.to_json())
 
     @classmethod
     def load(cls, path) -> "PlsaModel":
@@ -267,8 +271,7 @@ def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
     return model
 
 
-def fold_in(model: PlsaModel, word_indices, word_values,
-            max_iters: int = DEFAULT_MAX_ITERS, tol: float = 1e-10) -> np.ndarray:
+def fold_in(model: PlsaModel, word_indices, word_values) -> np.ndarray:
     """Topic mixture for one unseen document; the model is not modified.
 
     An empty document folds in to the uniform mixture.
@@ -283,7 +286,7 @@ def fold_in(model: PlsaModel, word_indices, word_values,
     if len(wval) and not 0 <= wval.min() <= wval.max() < np.inf:
         raise ValidationError("word values must be finite and non-negative")
     return _kernels.fold_in_kernel(widx, wval, model.word_given_topic,
-                                   max_iters, tol)
+                                   FOLD_IN_MAX_ITERS, FOLD_IN_TOL)
 
 
 def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD

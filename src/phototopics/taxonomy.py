@@ -71,18 +71,39 @@ def _topological_order(parents: dict[str, tuple[str, ...]]) -> list[str]:
     return order
 
 
-def _parse_tsv(stream, what: str) -> list[tuple[str, str]]:
-    rows = []
+def read_tsv(stream, what: str, n_fields: int):
+    """Yield ``(line number, stripped fields)`` for each line of a TSV stream.
+
+    Blank lines and lines starting with ``#`` are skipped; every other
+    line must hold exactly ``n_fields`` tab-separated fields. ``what``
+    names the file kind in errors.
+    """
     for lineno, line in enumerate(stream, start=1):
         line = line.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise ValidationError(
-                f"malformed {what} line {lineno}: expected 2 tab-separated fields")
-        rows.append((parts[0].strip(), parts[1].strip()))
-    return rows
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise ValidationError(f"malformed {what} line {lineno}: "
+                                  f"expected {n_fields} tab-separated fields")
+        yield lineno, [f.strip() for f in fields]
+
+
+def _read_values(stream, what: str, parents) -> dict[str, float]:
+    """``synset<TAB>value`` lines; each value a finite number >= 0."""
+    values = {}
+    for lineno, (synset, text) in read_tsv(stream, what, 2):
+        if synset not in parents:
+            raise ValidationError(f"{what} entry references unknown synset {synset!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not 0.0 <= value < math.inf:
+            raise ValidationError(f"malformed {what} line {lineno}: {text!r} "
+                                  "is not a finite number >= 0")
+        values[synset] = value
+    return values
 
 
 def load_taxonomy(taxonomy_stream, lexicon_stream,
@@ -96,7 +117,7 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
     IC defaults to 0 everywhere with a warning.
     """
     parents: dict[str, tuple[str, ...]] = {}
-    for synset, parent_field in _parse_tsv(taxonomy_stream, "taxonomy"):
+    for _lineno, (synset, parent_field) in read_tsv(taxonomy_stream, "taxonomy", 2):
         ps = tuple(p.strip() for p in parent_field.split(",") if p.strip())
         parents[synset] = ps
     for s, ps in parents.items():
@@ -106,7 +127,7 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
     _topological_order(parents)  # validates acyclicity
 
     lemma_index: dict[str, tuple[str, ...]] = {}
-    for token, synset_field in _parse_tsv(lexicon_stream, "lexicon"):
+    for _lineno, (token, synset_field) in read_tsv(lexicon_stream, "lexicon", 2):
         ids = tuple(s.strip() for s in synset_field.split(",") if s.strip())
         for s in ids:
             if s not in parents:
@@ -115,20 +136,11 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
         lemma_index[token.lower()] = ids
 
     if ic_stream is not None:
-        ic = {}
-        for synset, value in _parse_tsv(ic_stream, "ic"):
-            if synset not in parents:
-                raise ValidationError(f"ic entry references unknown synset {synset!r}")
-            ic[synset] = float(value)
+        ic = _read_values(ic_stream, "ic", parents)
         for s in parents:
             ic.setdefault(s, 0.0)
     elif counts_stream is not None:
-        counts = {}
-        for synset, value in _parse_tsv(counts_stream, "counts"):
-            if synset not in parents:
-                raise ValidationError(
-                    f"counts entry references unknown synset {synset!r}")
-            counts[synset] = float(value)
+        counts = _read_values(counts_stream, "counts", parents)
         graph = TaxonomyGraph(parents=parents, lemma_index=lemma_index,
                               ic={s: 0.0 for s in parents})
         graph.ic = compute_ic(graph, counts)
@@ -151,8 +163,8 @@ def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, floa
     if any(c < 0 for c in counts.values()):
         raise ValidationError("raw counts must be non-negative")
     total = sum(counts.values())
-    if total <= 0:
-        raise ValidationError("total raw count must be positive")
+    if not 0 < total < math.inf:
+        raise ValidationError("total raw count must be positive and finite")
     n = len(graph.parents)
     cumulative = {s: 0.0 for s in graph.parents}
     for s, c in counts.items():

@@ -100,7 +100,7 @@ def food_animal_setup(ic_scale=1.0):
     from phototopics.plsa import PlsaModel
 
     words = tuple(sorted(FOOD_WORDS + ANIMAL_WORDS))
-    vocab = Vocabulary(words, 5, 2)
+    vocab = Vocabulary(words)
     pwz = np.full((2, len(words)), 1e-6)
     for i, w in enumerate(words):
         pwz[0 if w in FOOD_WORDS else 1, i] = 1.0

@@ -1,4 +1,6 @@
+import builtins
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ from phototopics.corpus import Vocabulary
 from conftest import ANIMAL_WORDS, FOOD_WORDS, tag_record_line
 
 
-@pytest.fixture()
-def collection_file(tmp_path):
+def _write_collection(path):
     """Synthetic two-topic collection: food images and animal images."""
     rng = np.random.default_rng(0)
     lines = []
@@ -21,9 +22,13 @@ def collection_file(tmp_path):
         tags = rng.choice(pool, size=6, replace=False)
         lines.append(tag_record_line(f"img{i:03d}", f"u{i % 4}",
                                      [(t, 0.9) for t in tags]))
-    path = tmp_path / "records.jsonl"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.fixture()
+def collection_file(tmp_path):
+    return _write_collection(tmp_path / "records.jsonl")
 
 
 def _taxonomy_files(tmp_path):
@@ -336,3 +341,226 @@ def test_non_finite_tol_exit_2(tmp_path, collection_file, trained, tol):
     assert main(["train", str(collection_file), str(vocab_path),
                  "-o", str(model_path), "--topics", "2", "--tol", tol]) == 2
     assert not model_path.exists()
+
+
+def test_failed_open_closes_the_files_already_open(tmp_path, trained,
+                                                   monkeypatch):
+    vocab_path, model_path = trained
+    tax, _lex, ic = _taxonomy_files(tmp_path)
+    opened = []
+    real_open = builtins.open
+
+    def spy(*args, **kwargs):
+        f = real_open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(builtins, "open", spy)
+    code = main(["name-topics", str(model_path), str(vocab_path),
+                 "--taxonomy", str(tax), "--lexicon", str(tmp_path / "nope.tsv"),
+                 "--ic", str(ic), "-o", str(tmp_path / "names.json")])
+    monkeypatch.undo()
+    assert code == 3
+    assert [f.name for f in opened][-1] == str(tax)
+    assert all(f.closed for f in opened)
+
+
+# -- every command, every input file kind, malformed ------------------------
+
+MISSING = object()
+
+
+def _truncate(valid: bytes) -> bytes:
+    return valid[:len(valid) // 2]
+
+
+def _patch(**change):
+    """The valid JSON object with some keys replaced."""
+    def apply(valid: bytes) -> bytes:
+        payload = json.loads(valid)
+        payload.update(change)
+        return json.dumps(payload).encode()
+    return apply
+
+
+def _patch_first(**change):
+    """The valid JSON list with keys of its first entry replaced."""
+    def apply(valid: bytes) -> bytes:
+        payload = json.loads(valid)
+        payload[0].update(change)
+        return json.dumps(payload).encode()
+    return apply
+
+
+def _record(**fields) -> bytes:
+    obj = {"image_id": "a", "collection_id": "u",
+           "tags": [{"tag": "dog", "confidence": 0.5}]}
+    obj.update(fields)
+    return json.dumps(obj).encode() + b"\n"
+
+
+def _tag(tag, confidence=0.5) -> bytes:
+    return _record(tags=[{"tag": tag, "confidence": confidence}])
+
+
+NOT_UTF8 = b"\xff\xfe not utf-8\n"
+
+# input kind -> the commands that read it, and malformed contents
+SWEEP_INPUTS = {
+    "records": (["build-vocab", "train", "fold-in", "organize"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
+        "not-an-object": b"[1, 2]\n",
+        "tags-not-a-list": _record(tags={"dog": 0.5}),
+        "tag-entry-not-an-object": _record(tags=[["dog", 0.5]]),
+        "confidence-text": _tag("dog", "high"),
+        "confidence-above-1": _tag("dog", 1.5),
+        "empty-tag": _tag(""), "blank-tag": _tag(" "),
+        "newline-in-tag": _tag("a\nb"), "cr-in-tag": _tag("a\rb"),
+        "empty-image-id": _record(image_id=""),
+    }),
+    "vocab": (["train", "fold-in", "name-topics", "coherence", "organize"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "duplicate-word": b"apple\napple\n", "blank-only": b"\n \n",
+    }),
+    "model": (["fold-in", "name-topics", "coherence", "organize"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
+        "not-an-object": b"[1, 2]",
+        "text-probabilities": _patch(word_given_topic=[["a", "b"], ["c", "d"]]),
+        "seed-text": _patch(seed="abc"),
+        "vocab-hash-number": _patch(vocab_hash=5),
+        "prior-text": _patch(topic_prior="x"),
+        "mixtures-number": _patch(doc_mixtures=5),
+        "likelihood-text": _patch(final_log_likelihood="x"),
+        "no-format-version": _patch(format_version=None),
+    }),
+    "names": (["organize"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
+        "not-a-list": b'{"topic": 0}',
+        "name-null": _patch_first(name=None),
+        "name-list": _patch_first(name=["x"]),
+        "scores-number": _patch_first(scores=5),
+    }),
+    "scores": (["organize"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
+        "not-an-object": b"[1]\n", "score-text": _patch(score="high"),
+        "score-above-1": _patch(score=1.5),
+        "unregistered-category": _patch(category="tiger"),
+    }),
+    "name-defs": (["name-topics"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "two-fields": b"Food\tfood\n", "four-fields": b"Food\tfood\tdrinks\tx\n",
+        "no-definitions": b"# none\n", "empty-name": b"\tfood\tdrinks\n",
+    }),
+    "taxonomy": (["name-topics"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "one-field": b"root\n", "three-fields": b"root\t\tx\n",
+        "unknown-parent": b"root\t\nfood\tnope\n",
+        "cycle": b"a\tb\nb\ta\n",
+    }),
+    "lexicon": (["name-topics"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "one-field": b"food\n", "three-fields": b"food\tfood\tx\n",
+        "unknown-synset": b"food\tnope\n",
+    }),
+    "ic": (["name-topics"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "text": b"root\tabc\n", "inf": b"root\tinf\n", "nan": b"root\tnan\n",
+        "negative": b"root\t-1\n", "three-fields": b"root\t1\t2\n",
+        "unknown-synset": b"nope\t1\n",
+    }),
+    "counts": (["name-topics-counts"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8,
+        "text": b"food\tx1\n", "inf": b"food\tinf\n", "nan": b"food\tnan\n",
+        "negative": b"food\t-1\n", "one-field": b"food\n",
+        "all-zero": b"food\t0\n", "total-overflows": b"food\t1e308\nanimal\t1e308\n",
+    }),
+    "ref-corpus": (["coherence"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "empty": b"",
+        "blank-lines-only": b"\n  \n",
+    }),
+    "ids": (["fetch-tags"], {
+        "missing": MISSING, "not-utf8": NOT_UTF8, "empty": b"",
+    }),
+}
+
+SWEEP_COMMANDS = {
+    "build-vocab": lambda p: ["build-vocab", p["records"], "-o", p["out"]],
+    "train": lambda p: ["train", p["records"], p["vocab"], "-o", p["out"],
+                        "--topics", "2"],
+    "fold-in": lambda p: ["fold-in", p["model"], p["vocab"], p["records"],
+                          "-o", p["out"]],
+    "name-topics": lambda p: ["name-topics", p["model"], p["vocab"],
+                              "--taxonomy", p["taxonomy"], "--lexicon", p["lexicon"],
+                              "--ic", p["ic"], "--names-file", p["name-defs"],
+                              "-o", p["out"]],
+    "name-topics-counts": lambda p: ["name-topics", p["model"], p["vocab"],
+                                     "--taxonomy", p["taxonomy"],
+                                     "--lexicon", p["lexicon"],
+                                     "--ic-counts", p["counts"], "-o", p["out"]],
+    "coherence": lambda p: ["coherence", p["model"], p["vocab"],
+                            "--ref-corpus", p["ref-corpus"], "-o", p["out"]],
+    "organize": lambda p: ["organize", p["records"], p["model"], p["vocab"],
+                           "-o", p["out"], "--names-result", p["names"],
+                           "--scores", p["scores"]],
+    # the endpoint is never contacted: every case fails on the ids file
+    "fetch-tags": lambda p: ["fetch-tags", "--ids-file", p["ids"],
+                             "--endpoint", "http://127.0.0.1:9", "-o", p["out"]],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One valid file of every kind; each command but fetch-tags exits 0 on them."""
+    d = tmp_path_factory.mktemp("valid")
+    tax, lex, ic = _taxonomy_files(d)
+    paths = {"records": _write_collection(d / "records.jsonl"),
+             "vocab": d / "vocab.txt", "model": d / "model.json",
+             "names": d / "names.json", "taxonomy": tax, "lexicon": lex,
+             "ic": ic, "counts": d / "counts.tsv", "name-defs": d / "defs.tsv",
+             "scores": d / "scores.jsonl", "ref-corpus": d / "ref.txt",
+             "ids": d / "ids.txt"}
+    paths = {k: str(v) for k, v in paths.items()}
+    assert main(["build-vocab", paths["records"], "-o", paths["vocab"],
+                 "--min-count", "2"]) == 0
+    assert main(["train", paths["records"], paths["vocab"], "-o", paths["model"],
+                 "--topics", "2"]) == 0
+    assert main(["name-topics", paths["model"], paths["vocab"],
+                 "--taxonomy", paths["taxonomy"], "--lexicon", paths["lexicon"],
+                 "--ic", paths["ic"], "-o", paths["names"]]) == 0
+    (d / "counts.tsv").write_text("root\t0\nfood\t3\nanimal\t2\n")
+    (d / "defs.tsv").write_text("Food and Drinks\tfood\tdrinks\n"
+                                "Pets and Animals\tpets\tanimals\n")
+    (d / "scores.jsonl").write_text(json.dumps(
+        {"image_id": "img000", "topic": "Food and Drinks",
+         "category": "paella", "score": 0.8}) + "\n")
+    (d / "ref.txt").write_text(" ".join(FOOD_WORDS) + "\n"
+                               + " ".join(ANIMAL_WORDS) + "\n")
+    (d / "ids.txt").write_text("img000\n")
+    for name, argv in SWEEP_COMMANDS.items():
+        if name != "fetch-tags":
+            assert main(argv({**paths, "out": str(d / "out")})) == 0, name
+    return paths
+
+
+@pytest.mark.parametrize("kind, case, command", [
+    (kind, case, command)
+    for kind, (commands, cases) in SWEEP_INPUTS.items()
+    for case in cases for command in commands])
+def test_malformed_input_exit_code(tmp_path, capsys, valid_inputs, kind, case,
+                                   command):
+    """Bad data exits 2 and an unreadable file 3, with a message and no
+    traceback; an exception escaping ``main`` fails the test as it would
+    exit 1."""
+    content = SWEEP_INPUTS[kind][1][case]
+    paths = {**valid_inputs, "out": str(tmp_path / "out")}
+    paths[kind] = str(tmp_path / f"bad-{kind}")
+    if content is not MISSING:
+        if callable(content):
+            content = content(Path(valid_inputs[kind]).read_bytes())
+        (tmp_path / f"bad-{kind}").write_bytes(content)
+    capsys.readouterr()
+    code = main(SWEEP_COMMANDS[command](paths))
+    err = capsys.readouterr().err
+    assert code == (3 if content is MISSING else 2), err
+    assert err.startswith(("error: ", "i/o error: ")), err
+    assert "Traceback" not in err

@@ -45,6 +45,17 @@ class TestParseTagRecords:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             parse_tag_records([line])
 
+    def test_bad_confidence_rejected_before_merge(self):
+        line = tag_record_line("a", "u", [("x", -0.5), ("x", 0.3)])
+        with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+            parse_tag_records([line])
+
+    def test_unholdable_tag_names_line_number(self):
+        lines = [tag_record_line("a", "u", [("dog", 0.5)]),
+                 tag_record_line("b", "u", [("a\nb", 0.5)])]
+        with pytest.raises(ValidationError, match="line break at line 2"):
+            parse_tag_records(lines)
+
     def test_blank_lines_skipped(self):
         records = parse_tag_records(["", tag_record_line("a", "u", []), "  "])
         assert len(records) == 1
@@ -62,6 +73,11 @@ class TestTagRecord:
     def test_duplicate_tag_rejected(self):
         with pytest.raises(ValidationError):
             TagRecord("a", "u", (("dog", 0.5), ("dog", 0.6)))
+
+    @pytest.mark.parametrize("tag", ["", " ", "\t", "a\nb", "a\rb", "dog\n"])
+    def test_tag_a_vocabulary_file_cannot_hold_rejected(self, tag):
+        with pytest.raises(ValidationError, match="empty or blank"):
+            TagRecord("a", "u", (("cat", 0.5), (tag, 0.5)))
 
 
 def _records(spec):
@@ -103,18 +119,20 @@ class TestBuildVocabulary:
             build_vocabulary([], min_count=0)
 
     def test_digest_depends_on_words(self):
-        v1 = Vocabulary(("a", "b"), 5, 2)
-        v2 = Vocabulary(("a", "c"), 5, 2)
+        v1 = Vocabulary(("a", "b"))
+        v2 = Vocabulary(("a", "c"))
         assert v1.digest() != v2.digest()
 
-    @pytest.mark.parametrize("words", [("a", "b", "a"), ("a", ""), ("",)],
-                             ids=["duplicate", "empty", "only-empty"])
+    @pytest.mark.parametrize("words", [("a", "b", "a"), ("a", ""), ("",),
+                                       ("a", " "), ("a\nb",), ("a\rb",)],
+                             ids=["duplicate", "empty", "only-empty",
+                                  "blank", "newline", "carriage-return"])
     def test_duplicate_or_empty_word_rejected(self, words):
         with pytest.raises(ValidationError, match="more than once|empty"):
-            Vocabulary(words, 5, 2)
+            Vocabulary(words)
 
     def test_save_load_roundtrip(self, tmp_path):
-        v = Vocabulary(("ant", "bee", "cat"), 5, 2)
+        v = Vocabulary(("ant", "bee", "cat"))
         path = tmp_path / "vocab.txt"
         v.save(path)
         assert Vocabulary.load(path).words == v.words
@@ -122,26 +140,26 @@ class TestBuildVocabulary:
 
 class TestBuildCooccurrence:
     def test_binary_single_entry(self):
-        vocab = Vocabulary(("dog",), 5, 2)
+        vocab = Vocabulary(("dog",))
         rec = TagRecord("a", "u", (("dog", 0.9),))
         X = build_cooccurrence([rec], vocab, "binary")
         assert X.to_dense().tolist() == [[1.0]]
 
     def test_confidence_weighting(self):
-        vocab = Vocabulary(("dog",), 5, 2)
+        vocab = Vocabulary(("dog",))
         rec = TagRecord("a", "u", (("dog", 0.9),))
         X = build_cooccurrence([rec], vocab, "confidence")
         assert X.to_dense().tolist() == [[0.9]]
 
     def test_out_of_vocab_doc_kept_as_empty_column(self):
-        vocab = Vocabulary(("dog",), 5, 2)
+        vocab = Vocabulary(("dog",))
         rec = TagRecord("a", "u", (("giraffe", 0.9),))
         X = build_cooccurrence([rec], vocab)
         assert X.n_docs == 1
         assert X.nnz == 0
 
     def test_binary_column_sums_count_in_vocab_tags(self):
-        vocab = Vocabulary(("ant", "bee", "cat"), 5, 2)
+        vocab = Vocabulary(("ant", "bee", "cat"))
         recs = [
             TagRecord("a", "u", (("ant", 0.1), ("bee", 0.2), ("zzz", 0.3))),
             TagRecord("b", "u", (("cat", 0.9),)),
@@ -156,7 +174,7 @@ class TestBuildCooccurrence:
             CooccurrenceMatrix(1, ["a", "b"], [0, 0], [0, 1], [1.0, val])
 
     def test_unknown_weighting_rejected(self):
-        vocab = Vocabulary(("dog",), 5, 2)
+        vocab = Vocabulary(("dog",))
         with pytest.raises(ValidationError):
             vectorize_record(TagRecord("a", "u", ()), vocab, "tfidf")
         with pytest.raises(ValidationError):
@@ -166,7 +184,7 @@ class TestBuildCooccurrence:
     def test_matches_per_record_reference(self, weighting):
         rng = np.random.default_rng(3)
         words = [f"w{i:02d}" for i in range(40)]
-        vocab = Vocabulary(tuple(words[::2]), 5, 2)  # odd words out of vocab
+        vocab = Vocabulary(tuple(words[::2]))  # odd words out of vocab
         for n_records in (0, 1, 7, 60):
             records = []
             for j in range(n_records):

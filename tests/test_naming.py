@@ -25,6 +25,11 @@ class TestParseNameDefs:
         defs = parse_name_defs(io.StringIO("Pets and Animals\tpets:n_pet\tanimals:n1,n2\n"))
         assert defs[0].pinned_synsets == (("n_pet",), ("n1", "n2"))
 
+    def test_fields_stripped(self):
+        defs = parse_name_defs(io.StringIO(" Pets and Animals \t pets \t animals:n1 \n"))
+        assert defs[0] == TopicNameDef("Pets and Animals", ("pets", "animals"),
+                                       ((), ("n1",)))
+
     def test_wrong_field_count_rejected(self):
         with pytest.raises(ValidationError):
             parse_name_defs(io.StringIO("Name\tonly-one-anchor\n"))

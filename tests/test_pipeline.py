@@ -23,7 +23,7 @@ from conftest import make_corpus
 
 
 def _toy_model_and_vocab():
-    vocab = Vocabulary(("beach", "dog", "pizza"), 5, 2)
+    vocab = Vocabulary(("beach", "dog", "pizza"))
     pwz = np.array([[0.98, 0.01, 0.01],
                     [0.01, 0.98, 0.01]])
     model = PlsaModel(pwz, np.zeros((0, 2)), np.array([0.5, 0.5]),
@@ -50,6 +50,14 @@ class TestCategoryRegistry:
     def test_custom_registry_stream(self):
         registry = load_category_registry(["T\tc1", "T\tc2"])
         assert registry == {"T": {"c1", "c2"}}
+
+    def test_fields_stripped_comments_and_blanks_skipped(self):
+        registry = load_category_registry([" T \t c1 \n", "# T\tc3", "", "T\tc2"])
+        assert registry == {"T": {"c1", "c2"}}
+
+    def test_wrong_field_count_rejected(self):
+        with pytest.raises(ValidationError, match="registry line 2"):
+            load_category_registry(["T\tc1", "T\tc2\textra"])
 
 
 class TestLoadCategoryScores:
@@ -110,7 +118,7 @@ class TestOrganizeCollection:
 
     def test_vocab_hash_mismatch_is_hard_error(self):
         model, _vocab = _toy_model_and_vocab()
-        other = Vocabulary(("axolotl", "dog", "pizza"), 5, 2)
+        other = Vocabulary(("axolotl", "dog", "pizza"))
         with pytest.raises(ValidationError, match="vocabulary"):
             organize_collection([TagRecord("a", "u", ())], model, other)
 
@@ -122,7 +130,7 @@ class TestOrganizeCollection:
         coll = organize_collection(records, model, vocab, names=_names(),
                                    threshold=0.6)
         assert len(coll.entries) == len(records)
-        assert coll.coverage == coll.recount_coverage() == 5 / 6
+        assert coll.coverage == 5 / 6
 
 
     def test_duplicate_image_id_rejected(self):

@@ -47,7 +47,7 @@ def test_em_log_likelihood_never_decreases(dense, n_topics, seed):
 
 
 WORDS = ("beach", "cat", "dog", "pizza", "soup", "tree")
-VOCAB = Vocabulary(WORDS, 5, 2)
+VOCAB = Vocabulary(WORDS)
 MODEL = PlsaModel(
     np.array([[0.40, 0.02, 0.02, 0.02, 0.04, 0.50],
               [0.02, 0.45, 0.45, 0.02, 0.02, 0.04],

@@ -44,6 +44,12 @@ class TestLoadTaxonomy:
         with pytest.raises(ValidationError, match="unknown synset"):
             _load("root\t\n", "dog\tnope\n", ic="root\t0\n")
 
+    @pytest.mark.parametrize("kind", ["ic", "counts"])
+    @pytest.mark.parametrize("value", ["abc", "x1", "", "inf", "nan", "-1", "1e400"])
+    def test_bad_value_rejected_naming_the_line(self, kind, value):
+        with pytest.raises(ValidationError, match=f"malformed {kind} line 3"):
+            _load("root\t\na\troot\n", **{kind: f"root\t1\n# note\na\t{value}\n"})
+
     def test_missing_ic_warns_and_zeroes(self):
         with pytest.warns(RuntimeWarning):
             g = _load("root\t\n")
@@ -74,6 +80,11 @@ class TestComputeIc:
         g = _load("root\t\n", ic="root\t0\n")
         with pytest.raises(ValidationError):
             compute_ic(g, {"root": 0.0})
+
+    def test_infinite_total_rejected(self):
+        g = _load("root\t\na\troot\n", ic="root\t0\n")
+        with pytest.raises(ValidationError, match="finite"):
+            compute_ic(g, {"root": 1e308, "a": 1e308})
 
 
 def _exhaustive_ancestors(graph, synset):
