@@ -1,7 +1,8 @@
 """Hot numeric kernels for EM training and folding-in.
 
-Both kernels are vectorized numpy with fixed reduction orders, so a
-given input gives bit-identical results across runs.
+Both kernels run over a whole sparse matrix at once, in vectorized numpy
+with fixed reduction orders, so a given input gives bit-identical
+results across runs.
 """
 
 from __future__ import annotations
@@ -42,24 +43,46 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     return nwz, nzd, nz, ll
 
 
-def fold_in_kernel(widx, wvals, word_given_topic, max_iters, tol):
-    """EM on a single document's topic mixture with P(w|z) frozen."""
+def fold_in_kernel(rows, cols, vals, n_docs, word_given_topic, max_iters, tol):
+    """EM on every document's topic mixture with P(w|z) frozen.
+
+    Entry ``i`` gives word ``rows[i]`` the weight ``vals[i]`` in document
+    ``cols[i]``; returns the ``(n_docs, K)`` mixtures. Documents do not
+    interact, so all of them are updated at once, and each one stops on
+    its own once no topic moved by ``tol`` or more; its entries then
+    leave the arrays. A document without entries, or whose weights are
+    all 0, keeps the uniform mixture.
+
+    The posterior is held entry-major, ``(nnz, K)``, so each entry's
+    normalizer sums its K terms in the same order as for one document
+    alone, and one ``bincount`` per topic adds each document's entries
+    in input order; a document's mixture is bit-identical whichever
+    documents share the batch.
+    """
     n_topics = word_given_topic.shape[0]
-    theta = np.full(n_topics, 1.0 / n_topics)
-    if len(widx) == 0:
-        return theta
-    pw = word_given_topic[:, widx].T  # (nw, K)
+    theta = np.full((n_docs, n_topics), 1.0 / n_topics)
+    docs, local = np.unique(cols, return_inverse=True)  # active documents
+    pw = np.ascontiguousarray(word_given_topic[:, rows].T)  # (nnz, K)
+    mix = theta[docs]
     for _ in range(max_iters):
-        q = pw * theta[None, :]
-        norm = np.maximum(q.sum(axis=1), _TINY)
-        new = (q * (wvals / norm)[:, None]).sum(axis=0)
-        total = new.sum()
-        if total <= 0.0:
-            new = np.full(n_topics, 1.0 / n_topics)
-        else:
-            new = new / total
-        delta = np.abs(new - theta).max()
-        theta = new
-        if delta < tol:
+        if not len(docs):
             break
+        q = pw * mix[local]
+        q *= (vals / np.maximum(q.sum(axis=1), _TINY))[:, None]
+        new = np.empty_like(mix)
+        for k in range(n_topics):
+            new[:, k] = np.bincount(local, weights=q[:, k], minlength=len(docs))
+        total = new.sum(axis=1, keepdims=True)
+        np.divide(new, total, out=new, where=total > 0.0)
+        new[total[:, 0] <= 0.0] = 1.0 / n_topics
+        done = np.abs(new - mix).max(axis=1) < tol
+        mix = new
+        if done.any():
+            theta[docs[done]] = mix[done]
+            keep = ~done
+            entries = keep[local]
+            docs, mix = docs[keep], mix[keep]
+            local = (np.cumsum(keep) - 1)[local[entries]]
+            pw, vals = pw[entries], vals[entries]
+    theta[docs] = mix
     return theta

@@ -217,37 +217,16 @@ def build_vocabulary(records: list[TagRecord],
     return Vocabulary(tuple(words))
 
 
-def _check_weighting(weighting: str) -> None:
-    if weighting not in ("binary", "confidence"):
-        raise ValidationError(f"unknown weighting {weighting!r}")
-
-
-def vectorize_record(record: TagRecord, vocab: Vocabulary,
-                     weighting: str = "binary") -> tuple[np.ndarray, np.ndarray]:
-    """Sparse word-count vector for one record; out-of-vocabulary tags dropped."""
-    _check_weighting(weighting)
-    idx, val = [], []
-    for tag, conf in record.tags:
-        pos = vocab.index.get(tag)
-        if pos is None:
-            continue
-        idx.append(pos)
-        val.append(1.0 if weighting == "binary" else conf)
-    order = np.argsort(idx, kind="stable")
-    return (np.asarray(idx, dtype=np.int64)[order],
-            np.asarray(val, dtype=np.float64)[order])
-
-
 def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
                        weighting: str = "binary") -> CooccurrenceMatrix:
     """Assemble the M x N co-occurrence matrix over all records.
 
     ``binary`` puts 1 for every in-vocabulary tag present in a record;
     ``confidence`` puts the tag's confidence instead (a soft count).
-    Entries are ordered by document, then word, as ``vectorize_record``
-    orders each column.
+    Entries are ordered by document, then word.
     """
-    _check_weighting(weighting)
+    if weighting not in ("binary", "confidence"):
+        raise ValidationError(f"unknown weighting {weighting!r}")
     binary = weighting == "binary"
     index = vocab.index
     rows, cols, vals = [], [], []
@@ -268,3 +247,11 @@ def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
         cols=cols[order],
         vals=np.asarray(vals, dtype=np.float64)[order],
     )
+
+
+def vectorize_record(record: TagRecord, vocab: Vocabulary,
+                     weighting: str = "binary") -> tuple[np.ndarray, np.ndarray]:
+    """Word indices and values of one record, by word index; out-of-vocabulary
+    tags dropped. This is ``build_cooccurrence`` over the one record."""
+    X = build_cooccurrence([record], vocab, weighting)
+    return X.rows, X.vals

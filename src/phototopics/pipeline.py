@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import plsa
-from .corpus import TagRecord, Vocabulary, tag_record_from_dict, vectorize_record
+from .corpus import TagRecord, Vocabulary, build_cooccurrence, tag_record_from_dict
 from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
@@ -119,15 +119,14 @@ def _build_index(entries: list[ImageEntry]) -> dict[str, dict[str, list[str]]]:
 
 def fold_in_records(records: list[TagRecord], model: PlsaModel,
                     vocab: Vocabulary, weighting: str = "binary"):
-    """Lazily yield ``(record, mixture)`` for each record, in the given order.
+    """Topic mixtures of the records, one row each in the given order,
+    folded in together over one co-occurrence matrix.
 
     The model must be bound to the same vocabulary the records are
-    vectorized with (``plsa.check_vocabulary``); a mismatch is raised
-    before the first record.
+    vectorized with (``plsa.check_vocabulary``).
     """
     plsa.check_vocabulary(model, vocab)
-    return ((rec, plsa.fold_in(model, *vectorize_record(rec, vocab, weighting)))
-            for rec in records)
+    return plsa.fold_in_matrix(model, build_cooccurrence(records, vocab, weighting))
 
 
 def organize_collection(records: list[TagRecord], model: PlsaModel,
@@ -154,11 +153,12 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                    else [f"Topic {k}" for k in range(model.n_topics)])
     ordered = sorted(records, key=lambda r: r.image_id)
 
+    theta = fold_in_records(ordered, model, vocab, weighting)
     entries = []
-    for rec, mixture in fold_in_records(ordered, model, vocab, weighting):
-        topic, _max_prob = plsa.assign_topic(mixture, threshold)
+    for rec, row, mixture in zip(ordered, theta, theta.tolist()):
+        topic, _max_prob = plsa.assign_topic(row, threshold)
         name = NULL_TOPIC_NAME if topic is None else topic_names[topic]
-        entry = ImageEntry(rec.image_id, name, tuple(float(x) for x in mixture))
+        entry = ImageEntry(rec.image_id, name, tuple(mixture))
         if topic is not None and scores is not None:
             best = scores.best_for_topic(rec.image_id, name)
             if best is not None:

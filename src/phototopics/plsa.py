@@ -35,6 +35,11 @@ MODEL_FORMAT_VERSION = 1
 _TINY = np.finfo(np.float64).tiny
 
 
+def _is_count(value) -> bool:
+    """True for an integer >= 0; JSON ``true`` and ``false`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     n_topics: int = DEFAULT_TOPICS
@@ -119,16 +124,18 @@ class PlsaModel:
         """Parse and validate a saved model.
 
         Malformed text, a ``format_version`` other than
-        ``MODEL_FORMAT_VERSION``, inconsistent shapes and parameters that
-        fail ``validate()`` all raise ``ValidationError``.
+        ``MODEL_FORMAT_VERSION``, inconsistent shapes (``n_topics`` and
+        ``n_words`` included), an ``n_iters`` that is not an integer >= 0
+        and parameters that fail ``validate()`` all raise
+        ``ValidationError``.
         """
         try:
             payload = json.loads(text)
             version = payload.get("format_version")
             doc_mixtures = payload.get("doc_mixtures")
-            n_topics = payload["n_topics"]
+            sizes = (payload["n_topics"], payload["n_words"])
             if not doc_mixtures:
-                doc_mixtures = np.zeros((0, n_topics))
+                doc_mixtures = np.zeros((0, sizes[0]))
             ll = payload.get("final_log_likelihood")
             model = cls(
                 word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
@@ -136,7 +143,7 @@ class PlsaModel:
                 topic_prior=np.array(payload["topic_prior"], dtype=np.float64),
                 seed=payload["seed"],
                 vocab_hash=payload.get("vocab_hash", ""),
-                n_iters=payload.get("n_iters", 0),
+                n_iters=payload["n_iters"],
                 final_log_likelihood=float("nan") if ll is None else float(ll),
             )
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -147,10 +154,17 @@ class PlsaModel:
                 f"(expected {MODEL_FORMAT_VERSION})")
         if not isinstance(model.vocab_hash, str):
             raise ValidationError("malformed model: vocab_hash must be a string")
+        if not _is_count(model.n_iters):
+            raise ValidationError("malformed model: n_iters must be an integer "
+                                  f">= 0; got {model.n_iters!r}")
         shape = model.word_given_topic.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("malformed model: word_given_topic must be a "
                                   "non-empty K x M matrix")
+        if not (all(_is_count(n) for n in sizes) and sizes == shape):
+            raise ValidationError(
+                f"malformed model: n_topics and n_words {sizes!r} are not the "
+                f"shape of word_given_topic, {shape[0]} x {shape[1]}")
         if (model.doc_mixtures.shape[1:] != shape[:1]
                 or model.topic_prior.shape != shape[:1]):
             raise ValidationError(
@@ -271,22 +285,33 @@ def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
     return model
 
 
-def fold_in(model: PlsaModel, word_indices, word_values) -> np.ndarray:
-    """Topic mixture for one unseen document; the model is not modified.
+def fold_in_matrix(model: PlsaModel, X: CooccurrenceMatrix) -> np.ndarray:
+    """Topic mixtures, ``(X.n_docs, K)``, of unseen documents; the model is
+    not modified.
 
-    An empty document folds in to the uniform mixture.
+    Each document is folded in on its own terms, so its mixture does not
+    depend on the other columns of ``X``. A document without entries
+    folds in to the uniform mixture.
     """
+    if X.n_words != model.n_words:
+        raise ValidationError(
+            f"matrix has {X.n_words} words but model expects {model.n_words}")
+    return _kernels.fold_in_kernel(X.rows, X.cols, X.vals, X.n_docs,
+                                   model.word_given_topic,
+                                   FOLD_IN_MAX_ITERS, FOLD_IN_TOL)
+
+
+def fold_in(model: PlsaModel, word_indices, word_values) -> np.ndarray:
+    """Topic mixture for one unseen document: ``fold_in_matrix`` over a
+    one-column matrix."""
     widx = np.asarray(word_indices, dtype=np.int64)
     wval = np.asarray(word_values, dtype=np.float64)
     if widx.ndim != 1 or widx.shape != wval.shape:
         raise ValidationError(
             "word indices and values must be 1-D and of equal length")
-    if len(widx) and (widx.min() < 0 or widx.max() >= model.n_words):
-        raise ValidationError("word index out of range for model")
-    if len(wval) and not 0 <= wval.min() <= wval.max() < np.inf:
-        raise ValidationError("word values must be finite and non-negative")
-    return _kernels.fold_in_kernel(widx, wval, model.word_given_topic,
-                                   FOLD_IN_MAX_ITERS, FOLD_IN_TOL)
+    X = CooccurrenceMatrix(model.n_words, [""], widx,
+                           np.zeros(len(widx), dtype=np.int64), wval)
+    return fold_in_matrix(model, X)[0]
 
 
 def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD

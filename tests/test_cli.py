@@ -432,6 +432,10 @@ SWEEP_INPUTS = {
         "mixtures-number": _patch(doc_mixtures=5),
         "likelihood-text": _patch(final_log_likelihood="x"),
         "no-format-version": _patch(format_version=None),
+        "iters-text": _patch(n_iters="x"), "iters-negative": _patch(n_iters=-1),
+        "iters-bool": _patch(n_iters=True), "iters-float": _patch(n_iters=2.0),
+        "topics-text": _patch(n_topics="two"), "topics-off": _patch(n_topics=3),
+        "words-off": _patch(n_words=1), "words-null": _patch(n_words=None),
     }),
     "names": (["organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,

@@ -78,11 +78,55 @@ def test_fold_in_matches_reference_loop():
         X = random_corpus(rng)
         n_topics = int(rng.integers(1, 6))
         pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
+        got = _kernels.fold_in_kernel(X.rows, X.cols, X.vals, X.n_docs, pwz,
+                                      100, 1e-10)
+        assert got.shape == (X.n_docs, n_topics)
         for j in range(X.n_docs):
             widx, wval = X.column(j)
             ref = reference_fold_in(widx, wval, pwz, 100, 1e-10)
-            got = _kernels.fold_in_kernel(widx, wval, pwz, 100, 1e-10)
-            np.testing.assert_allclose(got, ref, atol=1e-10)
+            np.testing.assert_allclose(got[j], ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("n_topics", [1, 2, 7, 8, 9, 17])
+def test_fold_in_independent_of_batch(n_topics):
+    """Each document's mixture is bit-identical whether it is folded in
+    alone or with others, whatever the batch's entry order. With
+    tol = 1e-3 the documents stop at different iterations and some run
+    out of iterations; with K >= 8 each entry's normalizer is a pairwise
+    sum."""
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        X = random_corpus(rng, max_docs=30)
+        pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
+        order = np.lexsort((X.rows, X.cols))  # as build_cooccurrence orders
+        for perm in (order, rng.permutation(X.nnz)):
+            rows, cols, vals = X.rows[perm], X.cols[perm], X.vals[perm]
+            got = _kernels.fold_in_kernel(rows, cols, vals, X.n_docs, pwz,
+                                          60, 1e-3)
+            for j in range(X.n_docs):
+                mine = cols == j
+                alone = _kernels.fold_in_kernel(
+                    rows[mine], np.zeros(mine.sum(), dtype=np.int64),
+                    vals[mine], 1, pwz, 60, 1e-3)
+                assert np.array_equal(got[j], alone[0])
+
+
+def test_fold_in_documents_without_weight_stay_uniform():
+    """No entries, or entries that all weigh 0, give the uniform mixture;
+    documents between them are unaffected."""
+    pwz = np.array([[0.7, 0.2, 0.1], [0.1, 0.1, 0.8], [0.2, 0.6, 0.2]])
+    rows = np.array([0, 2, 1, 0, 1])
+    cols = np.array([1, 1, 2, 4, 4])
+    vals = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
+    got = _kernels.fold_in_kernel(rows, cols, vals, 5, pwz, 200, 1e-10)
+    for j in (0, 2, 3, 4):
+        assert got[j].tolist() == [1 / 3] * 3
+    ref = reference_fold_in([0, 2], [1.0, 1.0], pwz, 200, 1e-10)
+    np.testing.assert_allclose(got[1], ref, atol=1e-10)
+    empty = _kernels.fold_in_kernel(np.zeros(0, dtype=np.int64),
+                                    np.zeros(0, dtype=np.int64), np.zeros(0),
+                                    2, pwz, 200, 1e-10)
+    assert empty.tolist() == [[1 / 3] * 3] * 2
 
 
 def test_numpy_path_deterministic():

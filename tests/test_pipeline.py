@@ -6,20 +6,22 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from phototopics.corpus import TagRecord, Vocabulary
+from phototopics import plsa
+from phototopics.corpus import TagRecord, Vocabulary, vectorize_record
 from phototopics.exceptions import TransportError, ValidationError
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import (
     CategoryScores,
     emit_manifest,
     fetch_tags,
+    fold_in_records,
     load_category_registry,
     load_category_scores,
     organize_collection,
 )
 from phototopics.plsa import PlsaModel, TrainConfig, train
 
-from conftest import make_corpus
+from conftest import make_corpus, planted_corpus
 
 
 def _toy_model_and_vocab():
@@ -139,6 +141,37 @@ class TestOrganizeCollection:
                    for i in ("b", "a", "c", "a", "b")]
         with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
             organize_collection(records, model, vocab)
+
+
+class TestFoldInRecords:
+    @pytest.mark.parametrize("weighting", ["binary", "confidence"])
+    def test_equals_per_record_fold_in(self, weighting):
+        """One batched fold-in gives every record, bit for bit, the mixture
+        ``plsa.fold_in`` gives it alone: records without in-vocabulary
+        tags and records whose confidences are all 0 included."""
+        X, _labels = planted_corpus(n_docs=40)
+        vocab = Vocabulary(tuple(f"w{i:02d}" for i in range(X.n_words)))
+        model = train(X, TrainConfig(n_topics=3, seed=0), vocab=vocab)
+        rng = np.random.default_rng(7)
+        records = []
+        for j in range(60):
+            words = rng.choice(vocab.words + ("yak", "zebra"),
+                               size=int(rng.integers(0, 12)), replace=False)
+            confs = np.zeros(len(words)) if j % 4 == 0 else rng.random(len(words))
+            records.append(TagRecord(f"img{j}", "u", tuple(
+                (str(w), float(c)) for w, c in zip(words, confs))))
+        records += [TagRecord("oov", "u", (("zebra", 0.5),)),
+                    TagRecord("no-tags", "u", ())]
+        got = fold_in_records(records, model, vocab, weighting)
+        assert got.shape == (len(records), 3)
+        for rec, row in zip(records, got):
+            alone = plsa.fold_in(model, *vectorize_record(rec, vocab, weighting))
+            assert np.array_equal(row, alone), rec.image_id
+        uniform = [not any(t in vocab.index and (c > 0 or weighting == "binary")
+                           for t, c in rec.tags) for rec in records]
+        assert sum(uniform) > 2
+        assert np.all(got[uniform] == 1 / 3)
+        assert not np.any(got[np.logical_not(uniform)] == 1 / 3)
 
 
 class TestEmitManifest:

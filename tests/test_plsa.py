@@ -336,6 +336,13 @@ class TestModelSerialization:
         ({"word_given_topic": [[]]}, "K x M"),
         ({"word_given_topic": [[float("nan"), 0.5, 0.5], [0.2, 0.3, 0.5]]},
          "non-finite"),
+        ({"n_iters": "x"}, "n_iters"),
+        ({"n_iters": -1}, "n_iters"),
+        ({"n_iters": False}, "n_iters"),
+        ({"n_topics": "two"}, "n_topics"),
+        ({"n_topics": 3}, "n_topics"),
+        ({"n_words": 2}, "n_words"),
+        ({"n_words": 3.0}, "n_words"),
     ])
     def test_invalid_model_rejected_at_load(self, change, match):
         payload = json.loads(init_model(2, 3, seed=0, n_docs=1).to_json())

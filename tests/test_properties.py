@@ -15,10 +15,10 @@ from phototopics.coherence import (
     uci_score,
     umass_score,
 )
-from phototopics.corpus import TagRecord, Vocabulary
+from phototopics.corpus import CooccurrenceMatrix, TagRecord, Vocabulary
 from phototopics.naming import TopicNaming
-from phototopics.pipeline import emit_manifest, organize_collection
-from phototopics.plsa import PlsaModel, em_step, init_model
+from phototopics.pipeline import emit_manifest, fold_in_records, organize_collection
+from phototopics.plsa import PlsaModel, em_step, fold_in_matrix, init_model
 
 from conftest import make_corpus
 
@@ -83,6 +83,70 @@ def test_manifest_independent_of_record_order(docs, data, names, threshold,
         return sink.getvalue()
 
     assert manifest(shuffled) == manifest(records)
+
+
+@st.composite
+def fold_in_cases(draw):
+    """A random model and a matrix of unseen documents for it; some
+    documents are empty and some weights are 0."""
+    n_topics, n_words = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    model = init_model(n_topics, n_words, draw(st.integers(0, 2**16)))
+    docs = draw(st.lists(st.dictionaries(st.integers(0, n_words - 1),
+                                         st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+                         max_size=8))
+    X = CooccurrenceMatrix(n_words, [f"d{j}" for j in range(len(docs))],
+                           [w for doc in docs for w in doc],
+                           [j for j, doc in enumerate(docs) for _ in doc],
+                           [x for doc in docs for x in doc.values()])
+    return model, X
+
+
+@FAST
+@given(case=fold_in_cases())
+def test_fold_in_mixtures_are_distributions(case):
+    model, X = case
+    theta = fold_in_matrix(model, X)
+    assert theta.shape == (X.n_docs, model.n_topics)
+    assert np.all(theta >= 0)
+    np.testing.assert_allclose(theta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@FAST
+@given(case=fold_in_cases(), data=st.data())
+def test_fold_in_independent_of_entry_order(case, data):
+    model, X = case
+    perm = np.array(data.draw(st.permutations(range(X.nnz))), dtype=np.int64)
+    shuffled = CooccurrenceMatrix(X.n_words, X.doc_ids, X.rows[perm],
+                                  X.cols[perm], X.vals[perm])
+    np.testing.assert_allclose(fold_in_matrix(model, shuffled),
+                               fold_in_matrix(model, X), rtol=0, atol=1e-9)
+
+
+@FAST
+@given(case=fold_in_cases(), data=st.data())
+def test_fold_in_equivariant_under_topic_permutation(case, data):
+    model, X = case
+    perm = data.draw(st.permutations(range(model.n_topics)))
+    relabeled = PlsaModel(model.word_given_topic[perm], model.doc_mixtures,
+                          model.topic_prior[perm], seed=model.seed)
+    np.testing.assert_allclose(fold_in_matrix(relabeled, X),
+                               fold_in_matrix(model, X)[:, perm],
+                               rtol=0, atol=1e-9)
+
+
+@FAST
+@given(docs=st.lists(tags, max_size=12), data=st.data(),
+       weighting=st.sampled_from(["binary", "confidence"]))
+def test_fold_in_independent_of_record_order(docs, data, weighting):
+    """Each record gets the same mixture, bit for bit, wherever it stands."""
+    records = [TagRecord(f"img{i:02d}", "u", tuple(t))
+               for i, t in enumerate(docs)]
+    shuffled = data.draw(st.permutations(records))
+    by_id = dict(zip([r.image_id for r in records],
+                     fold_in_records(records, MODEL, VOCAB, weighting)))
+    for rec, row in zip(shuffled,
+                        fold_in_records(shuffled, MODEL, VOCAB, weighting)):
+        assert np.array_equal(row, by_id[rec.image_id])
 
 
 ALPHABET = [f"w{i}" for i in range(8)]
