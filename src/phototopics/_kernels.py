@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
+# Elements of one (entries, K) array of a fold-in block: 2 MiB of float64.
+_BLOCK_ELEMENTS = 1 << 18
 
 
 def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
@@ -43,35 +45,66 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     return nwz, nzd, nz, ll
 
 
-def fold_in_kernel(rows, cols, vals, n_docs, word_given_topic, max_iters, tol):
+def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,
+                   cols=None, n_docs=1):
     """EM on every document's topic mixture with P(w|z) frozen.
 
     Entry ``i`` gives word ``rows[i]`` the weight ``vals[i]`` in document
-    ``cols[i]``; returns the ``(n_docs, K)`` mixtures. Documents do not
-    interact, so all of them are updated at once, and each one stops on
-    its own once no topic moved by ``tol`` or more; its entries then
-    leave the arrays. A document without entries, or whose weights are
-    all 0, keeps the uniform mixture.
+    ``cols[i]``; without ``cols`` every entry is in document 0. Returns
+    the ``(n_docs, K)`` mixtures. A document without entries, or whose
+    weights are all 0, keeps the uniform mixture.
 
-    The posterior is held entry-major, ``(nnz, K)``, so each entry's
-    normalizer sums its K terms in the same order as for one document
-    alone, and one ``bincount`` per topic adds each document's entries
-    in input order; a document's mixture is bit-identical whichever
-    documents share the batch.
+    Documents do not interact, so they are folded in together, in blocks
+    of whole documents holding about ``_BLOCK_ELEMENTS / K`` entries
+    each, which bounds the memory the ``(entries, K)`` arrays take on a
+    large input. Entries are grouped by document with a stable sort, so
+    each document keeps its entry order.
     """
     n_topics = word_given_topic.shape[0]
     theta = np.full((n_docs, n_topics), 1.0 / n_topics)
-    docs, local = np.unique(cols, return_inverse=True)  # active documents
-    pw = np.ascontiguousarray(word_given_topic[:, rows].T)  # (nnz, K)
+    if cols is None:
+        cols = np.zeros(len(rows), dtype=np.int64)
+    order = np.argsort(cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.flatnonzero(np.diff(cols, prepend=-1))  # each document's first entry
+    per_block = max(1, _BLOCK_ELEMENTS // n_topics)
+    cuts = first[np.flatnonzero(np.diff(first // per_block, prepend=-1))]
+    for lo, hi in zip(cuts, [*cuts[1:], len(cols)]):
+        _fold_in_block(rows[lo:hi], cols[lo:hi], vals[lo:hi], word_given_topic,
+                       max_iters, tol, theta)
+    return theta
+
+
+def _fold_in_block(rows, cols, vals, word_given_topic, max_iters, tol, theta):
+    """Fold in the documents of one block, whose entries are grouped by
+    document, and write their mixtures into ``theta``.
+
+    All documents are updated at once, and each one stops on its own once
+    no topic moved by ``tol`` or more; its entries then leave the arrays.
+    The posterior is held entry-major, ``(entries, K)``, so each entry's
+    normalizer sums its K terms in the same order as for one document
+    alone, and one ``bincount`` over the flat (document, topic) bins adds
+    each document's entries in input order; a document's mixture is
+    bit-identical whichever documents share the batch.
+    """
+    n_topics = theta.shape[1]
+    starts = np.diff(cols, prepend=-1) != 0
+    docs = cols[starts]  # active documents
+    local = np.cumsum(starts) - 1  # each entry's position in docs
+    topics = np.arange(n_topics)
+    bins = (local[:, None] * n_topics + topics).ravel()  # flat (doc, topic) of q
+    pw = np.ascontiguousarray(word_given_topic[:, rows].T)
     mix = theta[docs]
     for _ in range(max_iters):
         if not len(docs):
             break
-        q = pw * mix[local]
-        q *= (vals / np.maximum(q.sum(axis=1), _TINY))[:, None]
-        new = np.empty_like(mix)
-        for k in range(n_topics):
-            new[:, k] = np.bincount(local, weights=q[:, k], minlength=len(docs))
+        q = pw * mix.take(local, axis=0)
+        scale = q.sum(axis=1)
+        np.maximum(scale, _TINY, out=scale)
+        np.divide(vals, scale, out=scale)
+        q *= scale[:, None]
+        new = np.bincount(bins, weights=q.ravel(), minlength=mix.size
+                          ).reshape(mix.shape)
         total = new.sum(axis=1, keepdims=True)
         np.divide(new, total, out=new, where=total > 0.0)
         new[total[:, 0] <= 0.0] = 1.0 / n_topics
@@ -83,6 +116,6 @@ def fold_in_kernel(rows, cols, vals, n_docs, word_given_topic, max_iters, tol):
             entries = keep[local]
             docs, mix = docs[keep], mix[keep]
             local = (np.cumsum(keep) - 1)[local[entries]]
+            bins = (local[:, None] * n_topics + topics).ravel()
             pw, vals = pw[entries], vals[entries]
     theta[docs] = mix
-    return theta

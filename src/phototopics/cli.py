@@ -96,8 +96,9 @@ def cmd_fold_in(args) -> int:
     records = _read_records(args.records)
     mixtures = pl.fold_in_records(records, model, vocab, args.weighting)
     with _open_out(args.output) as out:
-        for rec, mixture in zip(records, mixtures.tolist()):
-            out.write(json.dumps({"image_id": rec.image_id, "mixture": mixture},
+        for rec, mixture in zip(records, mixtures):
+            out.write(json.dumps({"image_id": rec.image_id,
+                                  "mixture": mixture.tolist()},
                                  sort_keys=True) + "\n")
     return 0
 

@@ -126,7 +126,7 @@ def fold_in_records(records: list[TagRecord], model: PlsaModel,
     vectorized with (``plsa.check_vocabulary``).
     """
     plsa.check_vocabulary(model, vocab)
-    return plsa.fold_in_matrix(model, build_cooccurrence(records, vocab, weighting))
+    return plsa.fold_in(model, build_cooccurrence(records, vocab, weighting))
 
 
 def organize_collection(records: list[TagRecord], model: PlsaModel,

@@ -78,8 +78,8 @@ def test_fold_in_matches_reference_loop():
         X = random_corpus(rng)
         n_topics = int(rng.integers(1, 6))
         pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
-        got = _kernels.fold_in_kernel(X.rows, X.cols, X.vals, X.n_docs, pwz,
-                                      100, 1e-10)
+        got = _kernels.fold_in_kernel(X.rows, X.vals, pwz, 100, 1e-10,
+                                      X.cols, X.n_docs)
         assert got.shape == (X.n_docs, n_topics)
         for j in range(X.n_docs):
             widx, wval = X.column(j)
@@ -101,14 +101,29 @@ def test_fold_in_independent_of_batch(n_topics):
         order = np.lexsort((X.rows, X.cols))  # as build_cooccurrence orders
         for perm in (order, rng.permutation(X.nnz)):
             rows, cols, vals = X.rows[perm], X.cols[perm], X.vals[perm]
-            got = _kernels.fold_in_kernel(rows, cols, vals, X.n_docs, pwz,
-                                          60, 1e-3)
+            got = _kernels.fold_in_kernel(rows, vals, pwz, 60, 1e-3,
+                                          cols, X.n_docs)
             for j in range(X.n_docs):
                 mine = cols == j
-                alone = _kernels.fold_in_kernel(
-                    rows[mine], np.zeros(mine.sum(), dtype=np.int64),
-                    vals[mine], 1, pwz, 60, 1e-3)
+                alone = _kernels.fold_in_kernel(rows[mine], vals[mine], pwz,
+                                                60, 1e-3)
                 assert np.array_equal(got[j], alone[0])
+
+
+@pytest.mark.parametrize("block_elements", [1, 9, 40, 200])
+def test_fold_in_independent_of_blocking(monkeypatch, block_elements):
+    """Splitting the documents into blocks, down to one document per
+    block, changes no bit of any mixture."""
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        X = random_corpus(rng, max_docs=30)
+        pwz, _ = _random_params(rng, 3, X.n_words, 1)
+        perm = rng.permutation(X.nnz)
+        args = (X.rows[perm], X.vals[perm], pwz, 60, 1e-3, X.cols[perm], X.n_docs)
+        whole = _kernels.fold_in_kernel(*args)
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+            assert np.array_equal(_kernels.fold_in_kernel(*args), whole)
 
 
 def test_fold_in_documents_without_weight_stay_uniform():
@@ -118,14 +133,14 @@ def test_fold_in_documents_without_weight_stay_uniform():
     rows = np.array([0, 2, 1, 0, 1])
     cols = np.array([1, 1, 2, 4, 4])
     vals = np.array([1.0, 1.0, 0.0, 0.0, 0.0])
-    got = _kernels.fold_in_kernel(rows, cols, vals, 5, pwz, 200, 1e-10)
+    got = _kernels.fold_in_kernel(rows, vals, pwz, 200, 1e-10, cols, 5)
     for j in (0, 2, 3, 4):
         assert got[j].tolist() == [1 / 3] * 3
     ref = reference_fold_in([0, 2], [1.0, 1.0], pwz, 200, 1e-10)
     np.testing.assert_allclose(got[1], ref, atol=1e-10)
-    empty = _kernels.fold_in_kernel(np.zeros(0, dtype=np.int64),
-                                    np.zeros(0, dtype=np.int64), np.zeros(0),
-                                    2, pwz, 200, 1e-10)
+    empty = _kernels.fold_in_kernel(np.zeros(0, dtype=np.int64), np.zeros(0),
+                                    pwz, 200, 1e-10,
+                                    np.zeros(0, dtype=np.int64), 2)
     assert empty.tolist() == [[1 / 3] * 3] * 2
 
 

@@ -189,6 +189,13 @@ class TestFoldIn:
         with pytest.raises(ValidationError):
             fold_in(model, [-1], [1.0])
 
+    def test_matrix_with_values_or_other_width_rejected(self):
+        X = random_corpus(np.random.default_rng(3))
+        with pytest.raises(ValidationError, match="carries its own values"):
+            fold_in(init_model(3, X.n_words, seed=0), X, X.vals)
+        with pytest.raises(ValidationError, match="model expects"):
+            fold_in(init_model(3, X.n_words + 1, seed=0), X)
+
 
 class TestAssignTopic:
     def test_argmax(self):

@@ -18,7 +18,7 @@ from phototopics.coherence import (
 from phototopics.corpus import CooccurrenceMatrix, TagRecord, Vocabulary
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import emit_manifest, fold_in_records, organize_collection
-from phototopics.plsa import PlsaModel, em_step, fold_in_matrix, init_model
+from phototopics.plsa import PlsaModel, em_step, fold_in, init_model
 
 from conftest import make_corpus
 
@@ -105,7 +105,7 @@ def fold_in_cases(draw):
 @given(case=fold_in_cases())
 def test_fold_in_mixtures_are_distributions(case):
     model, X = case
-    theta = fold_in_matrix(model, X)
+    theta = fold_in(model, X)
     assert theta.shape == (X.n_docs, model.n_topics)
     assert np.all(theta >= 0)
     np.testing.assert_allclose(theta.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -118,8 +118,8 @@ def test_fold_in_independent_of_entry_order(case, data):
     perm = np.array(data.draw(st.permutations(range(X.nnz))), dtype=np.int64)
     shuffled = CooccurrenceMatrix(X.n_words, X.doc_ids, X.rows[perm],
                                   X.cols[perm], X.vals[perm])
-    np.testing.assert_allclose(fold_in_matrix(model, shuffled),
-                               fold_in_matrix(model, X), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fold_in(model, shuffled),
+                               fold_in(model, X), rtol=0, atol=1e-9)
 
 
 @FAST
@@ -129,8 +129,8 @@ def test_fold_in_equivariant_under_topic_permutation(case, data):
     perm = data.draw(st.permutations(range(model.n_topics)))
     relabeled = PlsaModel(model.word_given_topic[perm], model.doc_mixtures,
                           model.topic_prior[perm], seed=model.seed)
-    np.testing.assert_allclose(fold_in_matrix(relabeled, X),
-                               fold_in_matrix(model, X)[:, perm],
+    np.testing.assert_allclose(fold_in(relabeled, X),
+                               fold_in(model, X)[:, perm],
                                rtol=0, atol=1e-9)
 
 
