@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -61,6 +62,8 @@ class Vocabulary:
 
     words: tuple[str, ...]
     index: dict[str, int] = field(init=False, repr=False, compare=False)
+    # rank[i] is the place of words[i] in lexicographic (str) order
+    rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = next((w for w in self.words if not _is_word(w)), None)
@@ -71,6 +74,10 @@ class Vocabulary:
             dup = next(w for i, w in enumerate(self.words) if index[w] != i)
             raise ValidationError(f"vocabulary lists {dup!r} more than once")
         object.__setattr__(self, "index", index)
+        order = sorted(range(len(self.words)), key=self.words.__getitem__)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        object.__setattr__(self, "rank", rank)
 
     @property
     def size(self) -> int:
@@ -132,11 +139,6 @@ class CooccurrenceMatrix:
         dense = np.zeros((self.n_words, self.n_docs))
         dense[self.rows, self.cols] = self.vals
         return dense
-
-    def column(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Word indices and values of one document column."""
-        mask = self.cols == j
-        return self.rows[mask], self.vals[mask]
 
 
 def tag_record_from_dict(obj) -> TagRecord:
@@ -227,25 +229,28 @@ def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
     """
     if weighting not in ("binary", "confidence"):
         raise ValidationError(f"unknown weighting {weighting!r}")
-    binary = weighting == "binary"
-    index = vocab.index
-    rows, cols, vals = [], [], []
-    for j, rec in enumerate(records):
-        for tag, conf in rec.tags:
-            pos = index.get(tag)
-            if pos is not None:
-                rows.append(pos)
-                cols.append(j)
-                vals.append(1.0 if binary else conf)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    order = np.lexsort((rows, cols))
+    lens = [len(rec.tags) for rec in records]
+    n_tags = sum(lens)
+    tags = (tag for rec in records for tag, _conf in rec.tags)
+    rows = np.fromiter(map(vocab.index.get, tags, repeat(-1)), np.int64, n_tags)
+    cols = np.repeat(np.arange(len(records)), lens)
+    known = rows >= 0
+    if weighting == "binary":
+        vals = np.ones(np.count_nonzero(known))
+    else:
+        vals = np.fromiter((conf for rec in records for _tag, conf in rec.tags),
+                           np.float64, n_tags)[known]
+    rows, cols = rows[known], cols[known]
+    # One key per entry, unique since a record's tags are. cols is already
+    # sorted, so the order only sorts the words of each document, leaves
+    # cols as it is, and timsort finds the document runs.
+    order = np.argsort(cols * vocab.size + rows, kind="stable")
     return CooccurrenceMatrix(
         n_words=vocab.size,
         doc_ids=[rec.image_id for rec in records],
         rows=rows[order],
-        cols=cols[order],
-        vals=np.asarray(vals, dtype=np.float64)[order],
+        cols=cols,
+        vals=vals[order],
     )
 
 

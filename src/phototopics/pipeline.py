@@ -8,6 +8,7 @@ scores, and emits a deterministic hierarchical manifest.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -154,12 +155,13 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     ordered = sorted(records, key=lambda r: r.image_id)
 
     theta = fold_in_records(ordered, model, vocab, weighting)
+    topics, _max_probs = plsa.assign_topics(theta, threshold)
+    topic_names.append(NULL_TOPIC_NAME)  # topic -1
     entries = []
-    for rec, row, mixture in zip(ordered, theta, theta.tolist()):
-        topic, _max_prob = plsa.assign_topic(row, threshold)
-        name = NULL_TOPIC_NAME if topic is None else topic_names[topic]
+    for rec, topic, mixture in zip(ordered, topics.tolist(), theta.tolist()):
+        name = topic_names[topic]
         entry = ImageEntry(rec.image_id, name, tuple(mixture))
-        if topic is not None and scores is not None:
+        if topic >= 0 and scores is not None:
             best = scores.best_for_topic(rec.image_id, name)
             if best is not None:
                 entry.category, entry.category_score = best[0], float(best[1])
@@ -175,30 +177,65 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     )
 
 
+# The manifest is the text ``json.dumps(payload, sort_keys=True, indent=2)``
+# writes, built here from the pieces json's C encoder uses: an indent makes
+# ``json.dumps`` fall back to its pure-Python encoder.
+_string = json.encoder.encode_basestring_ascii
+
+
+def _layout(items: list[str], depth: int, brackets: str) -> str:
+    """Encoded items as ``json.dumps(indent=2)`` lays out an array or object
+    nested ``depth`` levels deep."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
+
+
+def _object(fields: list[tuple[str, str]], depth: int) -> str:
+    """``fields`` are (key, encoded value) pairs, sorted by key."""
+    return _layout([f"{_string(k)}: {v}" for k, v in fields], depth, "{}")
+
+
+def _floats(values) -> list[str]:
+    """Floats as json writes them: the repr, or NaN, Infinity, -Infinity."""
+    if all(map(math.isfinite, values)):
+        return list(map(float.__repr__, values))
+    return list(map(json.dumps, values))
+
+
+def _image(e: ImageEntry) -> str:
+    fields = []
+    if e.category is not None:
+        fields += [("category", _string(e.category)),
+                   ("category_score", json.dumps(e.category_score))]
+    fields += [("image_id", _string(e.image_id)),
+               ("mixture", _layout(_floats(e.mixture), 3, "[]")),
+               ("topic", _string(e.topic_name))]
+    return _object(fields, 2)
+
+
 def emit_manifest(collection: OrganizedCollection, sink) -> int:
     """Write the manifest as deterministic JSON; returns bytes written.
 
     Keys and image ids are sorted so identical inputs always produce
     byte-identical output.
     """
-    payload = {
-        "format_version": MANIFEST_FORMAT_VERSION,
-        "collection_id": collection.collection_id,
-        "model_hash": collection.model_hash,
-        "coverage": collection.coverage,
-        "images": [
-            {
-                "image_id": e.image_id,
-                "topic": e.topic_name,
-                "mixture": list(e.mixture),
-                **({"category": e.category, "category_score": e.category_score}
-                   if e.category is not None else {}),
-            }
-            for e in sorted(collection.entries, key=lambda e: e.image_id)
-        ],
-        "index": collection.index,
-    }
-    data = json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
+    index = [
+        (topic, _object([(bucket, _layout(list(map(_string, ids)), 3, "[]"))
+                         for bucket, ids in sorted(buckets.items())], 2))
+        for topic, buckets in sorted(collection.index.items())
+    ]
+    images = sorted(collection.entries, key=lambda e: e.image_id)
+    text = _object([
+        ("collection_id", _string(collection.collection_id)),
+        ("coverage", json.dumps(collection.coverage)),
+        ("format_version", json.dumps(MANIFEST_FORMAT_VERSION)),
+        ("images", _layout(list(map(_image, images)), 1, "[]")),
+        ("index", _object(index, 1)),
+        ("model_hash", _string(collection.model_hash)),
+    ], 0)
+    data = text.encode("utf-8")
     try:
         sink.write(data)
     except OSError as exc:

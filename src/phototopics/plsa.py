@@ -318,19 +318,32 @@ def fold_in(model: PlsaModel, words, values=None) -> np.ndarray:
     return theta if X is words else theta[0]
 
 
-def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD
-                 ) -> tuple[int | None, float]:
-    """Argmax topic (ties to the lowest index), or None below threshold."""
+def assign_topics(mixtures, threshold: float = DEFAULT_NULL_THRESHOLD
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax topic of each row of the ``(n, K)`` mixtures (ties to the
+    lowest index), or -1 where the row's maximum is below threshold.
+
+    Returns ``(topics, max_probs)``, both of length n.
+    """
     if not 0.0 <= threshold <= 1.0:
         raise ValidationError(f"threshold {threshold} outside [0, 1]")
-    mixture = np.asarray(mixture, dtype=np.float64)
-    if abs(mixture.sum() - 1.0) > 1e-6:
-        raise ValidationError(f"mixture sums to {mixture.sum()}, expected 1")
-    topic = int(np.argmax(mixture))
-    max_prob = float(mixture[topic])
-    if max_prob < threshold:
-        return None, max_prob
-    return topic, max_prob
+    mixtures = np.asarray(mixtures, dtype=np.float64)
+    sums = mixtures.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if len(off):
+        raise ValidationError(f"mixture sums to {sums[off[0]]}, expected 1")
+    max_probs = mixtures.max(axis=1)
+    topics = np.argmax(mixtures, axis=1)
+    return np.where(max_probs < threshold, -1, topics), max_probs
+
+
+def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD
+                 ) -> tuple[int | None, float]:
+    """Argmax topic (ties to the lowest index), or None below threshold;
+    ``assign_topics`` over one mixture."""
+    topics, max_probs = assign_topics(np.reshape(mixture, (1, -1)), threshold)
+    topic = int(topics[0])
+    return (None if topic < 0 else topic), float(max_probs[0])
 
 
 def check_vocabulary(model: PlsaModel, vocab: Vocabulary) -> None:
@@ -358,5 +371,5 @@ def top_words(model: PlsaModel, vocab: Vocabulary, topic: int,
         raise ValidationError("n_top must be >= 1")
     check_vocabulary(model, vocab)
     probs = model.word_given_topic[topic]
-    order = sorted(range(vocab.size), key=lambda i: (-probs[i], vocab.words[i]))
-    return [(vocab.words[i], float(probs[i])) for i in order[:n_top]]
+    order = np.lexsort((vocab.rank, -probs))[:n_top]
+    return [(vocab.words[i], float(probs[i])) for i in order]

@@ -17,6 +17,12 @@ def make_corpus(dense, doc_ids=None):
                               dense[rows, cols])
 
 
+def column(X, j):
+    """Word indices and values of document ``j`` of the matrix ``X``."""
+    mask = X.cols == j
+    return X.rows[mask], X.vals[mask]
+
+
 def random_corpus(rng, max_docs=20, max_words=30):
     """Small random sparse count matrix for EM property tests."""
     n_docs = int(rng.integers(2, max_docs + 1))

@@ -22,6 +22,7 @@ from phototopics.taxonomy import lcs, lin_similarity
 from conftest import (
     ANIMAL_WORDS,
     FOOD_WORDS,
+    column,
     food_animal_setup,
     planted_corpus,
     random_corpus,
@@ -88,7 +89,7 @@ def test_criterion_5_fold_in():
     before = model.to_json().encode()
     worst = 0.0
     for j in range(X.n_docs):
-        widx, wval = X.column(j)
+        widx, wval = column(X, j)
         mixture = fold_in(model, widx, wval)
         worst = max(worst, float(np.abs(mixture - model.doc_mixtures[j]).max()))
     assert model.to_json().encode() == before, "fold_in mutated the model"

@@ -182,13 +182,16 @@ class TestBuildCooccurrence:
 
     @pytest.mark.parametrize("weighting", ["binary", "confidence"])
     def test_matches_per_record_reference(self, weighting):
+        """The matrix equals a per-tag reference, and each record's
+        ``vectorize_record`` equals its column."""
         rng = np.random.default_rng(3)
         words = [f"w{i:02d}" for i in range(40)]
-        vocab = Vocabulary(tuple(words[::2]))  # odd words out of vocab
+        # odd words out of vocabulary; word indices not in word order
+        vocab = Vocabulary(tuple(rng.permutation(words[::2]).tolist()))
         for n_records in (0, 1, 7, 60):
             records = []
             for j in range(n_records):
-                n_tags = int(rng.integers(0, 12))
+                n_tags = int(rng.integers(0, 12))  # some records empty
                 if j % 5 == 4:  # every tag out of vocabulary
                     pool = words[1::2]
                 else:
@@ -206,16 +209,19 @@ class TestBuildCooccurrence:
                               (X.vals, ref.vals)):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+            for j, rec in enumerate(records):
+                widx, wval = vectorize_record(rec, vocab, weighting)
+                assert np.array_equal(widx, ref.rows[ref.cols == j])
+                assert np.array_equal(wval, ref.vals[ref.cols == j])
 
 
 def reference_cooccurrence(records, vocab, weighting):
-    """One ``vectorize_record`` call per record, columns in record order."""
-    rows, cols, vals = [], [], []
-    for j, rec in enumerate(records):
-        widx, wval = vectorize_record(rec, vocab, weighting)
-        rows.extend(widx.tolist())
-        cols.extend([j] * len(widx))
-        vals.extend(wval.tolist())
+    """One entry per in-vocabulary tag, sorted by document, then word."""
+    entries = sorted(
+        (j, vocab.index[tag], 1.0 if weighting == "binary" else conf)
+        for j, rec in enumerate(records) for tag, conf in rec.tags
+        if tag in vocab.index)
+    cols, rows, vals = zip(*entries) if entries else ((), (), ())
     return CooccurrenceMatrix(vocab.size, [rec.image_id for rec in records],
                               np.asarray(rows, dtype=np.int64),
                               np.asarray(cols, dtype=np.int64),

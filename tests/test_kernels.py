@@ -5,7 +5,7 @@ import pytest
 
 from phototopics import _kernels
 
-from conftest import random_corpus
+from conftest import column, random_corpus
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -82,7 +82,7 @@ def test_fold_in_matches_reference_loop():
                                       X.cols, X.n_docs)
         assert got.shape == (X.n_docs, n_topics)
         for j in range(X.n_docs):
-            widx, wval = X.column(j)
+            widx, wval = column(X, j)
             ref = reference_fold_in(widx, wval, pwz, 100, 1e-10)
             np.testing.assert_allclose(got[j], ref, atol=1e-10)
 

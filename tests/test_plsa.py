@@ -9,6 +9,7 @@ from phototopics.plsa import (
     PlsaModel,
     TrainConfig,
     assign_topic,
+    assign_topics,
     em_step,
     fold_in,
     init_model,
@@ -17,7 +18,7 @@ from phototopics.plsa import (
     train,
 )
 
-from conftest import make_corpus, planted_corpus, random_corpus
+from conftest import column, make_corpus, planted_corpus, random_corpus
 
 
 def best_permutation_accuracy(assigned, labels, n_topics):
@@ -166,7 +167,7 @@ class TestFoldIn:
         X, _labels = planted_corpus()
         model = train(X, TrainConfig(n_topics=3, seed=0))
         for j in range(0, X.n_docs, 29):
-            widx, wval = X.column(j)
+            widx, wval = column(X, j)
             mixture = fold_in(model, widx, wval)
             assert np.abs(mixture - model.doc_mixtures[j]).max() < 1e-3
 
@@ -215,6 +216,49 @@ class TestAssignTopic:
             assign_topic([0.5, 0.6], 0.035)
 
 
+class TestAssignTopics:
+    MIXTURES = np.array([
+        [0.4, 0.4, 0.2],        # tie: lowest index
+        [0.2, 0.4, 0.4],        # tie after a smaller entry
+        [0.5, 0.25, 0.25],      # max equals the 0.5 threshold
+        [1 / 3, 1 / 3, 1 / 3],
+        [0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0],
+    ])
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.035, 0.4, 0.5, 0.6, 1.0])
+    def test_agrees_with_assign_topic_row_by_row(self, threshold):
+        rng = np.random.default_rng(5)
+        rand = rng.random((20, 3))
+        mixtures = np.vstack([self.MIXTURES, rand / rand.sum(axis=1, keepdims=True)])
+        topics, max_probs = assign_topics(mixtures, threshold)
+        assert topics.shape == max_probs.shape == (len(mixtures),)
+        for row, topic, max_prob in zip(mixtures, topics, max_probs):
+            want_topic, want_prob = assign_topic(row, threshold)
+            assert (None if topic == -1 else topic) == want_topic
+            assert max_prob == want_prob
+        assert topics[:2].tolist() in ([0, 1], [-1, -1])  # ties
+        assert (topics[2] == -1) == (threshold > 0.5)  # max == threshold
+
+    def test_row_sum_off_raises_assign_topic_message(self):
+        mixtures = np.array([[0.5, 0.5], [0.5, 0.6], [0.1, 0.1]])
+        with pytest.raises(ValidationError) as single:
+            assign_topic(mixtures[1], 0.035)
+        with pytest.raises(ValidationError) as batch:
+            assign_topics(mixtures, 0.035)
+        assert str(batch.value) == str(single.value) == \
+            "mixture sums to 1.1, expected 1"
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_threshold_out_of_range(self, threshold):
+        with pytest.raises(ValidationError, match="outside"):
+            assign_topics(self.MIXTURES, threshold)
+
+    def test_no_rows(self):
+        topics, max_probs = assign_topics(np.zeros((0, 4)), 0.035)
+        assert topics.shape == max_probs.shape == (0,)
+
+
 class TestTopWords:
     def _model(self, probs):
         probs = np.asarray(probs, dtype=float)[None, :]
@@ -241,6 +285,24 @@ class TestTopWords:
         assert top_words(model, vocab, 0, 1) == [("x", 0.5)]
         with pytest.raises(ValidationError, match="different vocabulary"):
             top_words(model, reordered, 0, 1)
+
+    def test_ties_break_as_str_comparison(self):
+        # "a" < "a\x00" as str; numpy unicode arrays drop the trailing NUL
+        vocab = Vocabulary(("b", "a\x00", "a", "A"))
+        model = self._model([0.25] * 4)
+        assert [w for w, _p in top_words(model, vocab, 0, 4)] == \
+            ["A", "a", "a\x00", "b"]
+
+    def test_matches_sorted_reference(self):
+        rng = np.random.default_rng(2)
+        words = tuple(rng.permutation([f"w{i}" for i in range(60)]).tolist())
+        vocab = Vocabulary(words)
+        probs = rng.integers(1, 5, size=60).astype(float)  # many ties
+        model = self._model(probs / probs.sum())
+        p = model.word_given_topic[0]
+        order = sorted(range(60), key=lambda i: (-p[i], words[i]))
+        assert top_words(model, vocab, 0, 25) == \
+            [(words[i], float(p[i])) for i in order[:25]]
 
     def test_truncates_when_q_exceeds_vocab(self):
         vocab = Vocabulary(("a", "b"))
@@ -288,7 +350,7 @@ class TestPermutationEquivariance:
                              model.doc_mixtures[:, perm],
                              model.topic_prior[perm], seed=model.seed)
         for j in range(0, X.n_docs, 13):
-            widx, wval = X.column(j)
+            widx, wval = column(X, j)
             m1 = fold_in(model, widx, wval)
             m2 = fold_in(permuted, widx, wval)
             np.testing.assert_allclose(m2, m1[perm], atol=1e-12)

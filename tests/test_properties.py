@@ -1,6 +1,7 @@
 """Property tests for the invariants the pipeline relies on."""
 
 import io
+import json
 import warnings
 
 import numpy as np
@@ -17,7 +18,15 @@ from phototopics.coherence import (
 )
 from phototopics.corpus import CooccurrenceMatrix, TagRecord, Vocabulary
 from phototopics.naming import TopicNaming
-from phototopics.pipeline import emit_manifest, fold_in_records, organize_collection
+from phototopics.pipeline import (
+    MANIFEST_FORMAT_VERSION,
+    ImageEntry,
+    OrganizedCollection,
+    _build_index,
+    emit_manifest,
+    fold_in_records,
+    organize_collection,
+)
 from phototopics.plsa import PlsaModel, em_step, fold_in, init_model
 
 from conftest import make_corpus
@@ -83,6 +92,63 @@ def test_manifest_independent_of_record_order(docs, data, names, threshold,
         return sink.getvalue()
 
     assert manifest(shuffled) == manifest(records)
+
+
+def json_dumps_manifest(collection):
+    """The manifest as ``json.dumps`` writes its payload."""
+    payload = {
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "collection_id": collection.collection_id,
+        "model_hash": collection.model_hash,
+        "coverage": collection.coverage,
+        "images": [
+            {
+                "image_id": e.image_id,
+                "topic": e.topic_name,
+                "mixture": list(e.mixture),
+                **({"category": e.category, "category_score": e.category_score}
+                   if e.category is not None else {}),
+            }
+            for e in sorted(collection.entries, key=lambda e: e.image_id)
+        ],
+        "index": collection.index,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
+
+
+# quotes, backslashes, control characters and non-ASCII text
+texts = st.one_of(
+    st.text(alphabet='a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600 ',
+            max_size=6),
+    st.text(max_size=6))
+
+
+@st.composite
+def collections(draw):
+    """Entries with and without a category, Null entries, several buckets
+    per topic, non-finite numbers; the index is built as ``organize``
+    builds it."""
+    topic_names = draw(st.lists(texts, min_size=1, max_size=3)) + ["Null"]
+    entries = []
+    for image_id in draw(st.lists(texts.filter(bool), max_size=8, unique=True)):
+        entry = ImageEntry(image_id, draw(st.sampled_from(topic_names)),
+                           tuple(draw(st.lists(st.floats(), min_size=1,
+                                               max_size=4))))
+        if draw(st.booleans()):
+            entry.category = draw(st.sampled_from(["", "beach", "a\"b"]) | texts)
+            entry.category_score = draw(st.floats())
+        entries.append(entry)
+    return OrganizedCollection(draw(texts), draw(texts), entries,
+                               draw(st.floats()), _build_index(entries))
+
+
+@FAST
+@given(collection=collections())
+def test_manifest_bytes_are_json_dumps_bytes(collection):
+    sink = io.BytesIO()
+    n_bytes = emit_manifest(collection, sink)
+    assert sink.getvalue() == json_dumps_manifest(collection)
+    assert n_bytes == len(sink.getvalue())
 
 
 @st.composite
