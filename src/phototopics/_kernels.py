@@ -57,15 +57,13 @@ def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,
     Documents do not interact, so they are folded in together, in blocks
     of whole documents holding about ``_BLOCK_ELEMENTS / K`` entries
     each, which bounds the memory the ``(entries, K)`` arrays take on a
-    large input. Entries are grouped by document with a stable sort, so
-    each document keeps its entry order.
+    large input. The entries must be grouped by document, as a
+    ``CooccurrenceMatrix`` keeps them.
     """
     n_topics = word_given_topic.shape[0]
     theta = np.full((n_docs, n_topics), 1.0 / n_topics)
     if cols is None:
         cols = np.zeros(len(rows), dtype=np.int64)
-    order = np.argsort(cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
     first = np.flatnonzero(np.diff(cols, prepend=-1))  # each document's first entry
     per_block = max(1, _BLOCK_ELEMENTS // n_topics)
     cuts = first[np.flatnonzero(np.diff(first // per_block, prepend=-1))]

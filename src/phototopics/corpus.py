@@ -103,37 +103,37 @@ class CooccurrenceMatrix:
 
     Rows index vocabulary words, columns index documents (images).
     Documents whose tags were all filtered out stay as empty columns so
-    that image accounting is preserved downstream.
+    that image accounting is preserved downstream. The entries are kept
+    in (document, word) order, so each document's entries are contiguous.
     """
 
-    def __init__(self, n_words: int, doc_ids: list[str],
+    def __init__(self, n_words: int, n_docs: int,
                  rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
         self.n_words = int(n_words)
-        self.doc_ids = list(doc_ids)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.vals = np.asarray(vals, dtype=np.float64)
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
-            raise ValidationError("rows, cols and vals must have equal length")
-        if self.nnz and not 0 <= self.vals.min() <= self.vals.max() < np.inf:
+        self.n_docs = int(n_docs)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.float64)
+        if self.n_docs < 0:
+            raise ValidationError(f"n_docs must be >= 0; got {n_docs!r}")
+        if not (rows.ndim == cols.ndim == vals.ndim == 1
+                and len(rows) == len(cols) == len(vals)):
+            raise ValidationError("rows, cols and vals must be 1-D and of equal length")
+        if len(vals) and not 0 <= vals.min() <= vals.max() < np.inf:
             raise ValidationError(
                 "co-occurrence counts must be finite and non-negative")
-        if len(self.rows) and (self.rows.max() >= self.n_words or self.rows.min() < 0):
+        if len(rows) and (rows.max() >= self.n_words or rows.min() < 0):
             raise ValidationError("word index out of range")
-        if len(self.cols) and (self.cols.max() >= self.n_docs or self.cols.min() < 0):
+        if len(cols) and (cols.max() >= self.n_docs or cols.min() < 0):
             raise ValidationError("document index out of range")
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_ids)
+        # A stable sort keeps the given order of any repeated entry; on
+        # entries already in order timsort makes one pass.
+        order = np.argsort(cols * self.n_words + rows, kind="stable")
+        self.rows, self.cols, self.vals = rows[order], cols[order], vals[order]
 
     @property
     def nnz(self) -> int:
         return len(self.vals)
-
-    @property
-    def total(self) -> float:
-        return float(self.vals.sum())
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_words, self.n_docs))
@@ -241,17 +241,7 @@ def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
         vals = np.fromiter((conf for rec in records for _tag, conf in rec.tags),
                            np.float64, n_tags)[known]
     rows, cols = rows[known], cols[known]
-    # One key per entry, unique since a record's tags are. cols is already
-    # sorted, so the order only sorts the words of each document, leaves
-    # cols as it is, and timsort finds the document runs.
-    order = np.argsort(cols * vocab.size + rows, kind="stable")
-    return CooccurrenceMatrix(
-        n_words=vocab.size,
-        doc_ids=[rec.image_id for rec in records],
-        rows=rows[order],
-        cols=cols,
-        vals=vals[order],
-    )
+    return CooccurrenceMatrix(vocab.size, len(records), rows, cols, vals)
 
 
 def vectorize_record(record: TagRecord, vocab: Vocabulary,

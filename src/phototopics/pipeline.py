@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
+import numpy as np
+
 from . import plsa
 from .corpus import TagRecord, Vocabulary, build_cooccurrence, tag_record_from_dict
 from .exceptions import InputOutputError, TransportError, ValidationError
@@ -150,8 +152,12 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     if names is not None and [n.topic for n in names] != list(range(model.n_topics)):
         raise ValidationError(
             "naming result must name every topic once, in topic order")
-    topic_names = ([n.name for n in names] if names is not None
-                   else [f"Topic {k}" for k in range(model.n_topics)])
+    # A topic named "Null" keeps a label of its own: in the manifest
+    # "Null" means only "below the threshold".
+    topic_names = [f"Topic {k}" for k in range(model.n_topics)]
+    if names is not None:
+        topic_names = [n.name if n.name != NULL_TOPIC_NAME else topic_names[n.topic]
+                       for n in names]
     ordered = sorted(records, key=lambda r: r.image_id)
 
     theta = fold_in_records(ordered, model, vocab, weighting)
@@ -167,12 +173,11 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
                 entry.category, entry.category_score = best[0], float(best[1])
         entries.append(entry)
 
-    hit = sum(1 for e in entries if e.topic_name != NULL_TOPIC_NAME)
     return OrganizedCollection(
         collection_id=ordered[0].collection_id if ordered else "",
         model_hash=model.vocab_hash,
         entries=entries,
-        coverage=hit / len(entries) if entries else 0.0,
+        coverage=np.count_nonzero(topics >= 0) / len(entries) if entries else 0.0,
         index=_build_index(entries),
     )
 

@@ -285,37 +285,20 @@ def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
     return model
 
 
-def fold_in(model: PlsaModel, words, values=None) -> np.ndarray:
-    """Topic mixtures of unseen documents; the model is not modified.
-
-    ``fold_in(model, X)`` folds in every column of the co-occurrence
-    matrix ``X`` together and returns the ``(X.n_docs, K)`` mixtures.
-    ``fold_in(model, word_indices, word_values)`` folds in one document
-    and returns its ``(K,)`` mixture.
+def fold_in(model: PlsaModel, X: CooccurrenceMatrix) -> np.ndarray:
+    """Topic mixtures of the unseen documents of ``X`` as an ``(X.n_docs, K)``
+    array, all folded in together; the model is not modified.
 
     Each document is folded in on its own terms, so its mixture does not
     depend on the other columns of ``X``. A document without entries
     folds in to the uniform mixture.
     """
-    if isinstance(words, CooccurrenceMatrix):
-        if values is not None:
-            raise ValidationError("a co-occurrence matrix carries its own values")
-        X = words
-    else:
-        widx = np.asarray(words, dtype=np.int64)
-        wval = np.asarray(values, dtype=np.float64)
-        if widx.ndim != 1 or widx.shape != wval.shape:
-            raise ValidationError(
-                "word indices and values must be 1-D and of equal length")
-        X = CooccurrenceMatrix(model.n_words, [""], widx,
-                               np.zeros(len(widx), dtype=np.int64), wval)
     if X.n_words != model.n_words:
         raise ValidationError(
             f"matrix has {X.n_words} words but model expects {model.n_words}")
-    theta = _kernels.fold_in_kernel(X.rows, X.vals, model.word_given_topic,
-                                    FOLD_IN_MAX_ITERS, FOLD_IN_TOL,
-                                    X.cols, X.n_docs)
-    return theta if X is words else theta[0]
+    return _kernels.fold_in_kernel(X.rows, X.vals, model.word_given_topic,
+                                   FOLD_IN_MAX_ITERS, FOLD_IN_TOL,
+                                   X.cols, X.n_docs)
 
 
 def assign_topics(mixtures, threshold: float = DEFAULT_NULL_THRESHOLD

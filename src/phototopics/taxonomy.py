@@ -135,21 +135,16 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
                     f"lexicon token {token!r} references unknown synset {s!r}")
         lemma_index[token.lower()] = ids
 
+    graph = TaxonomyGraph(parents=parents, lemma_index=lemma_index,
+                          ic=dict.fromkeys(parents, 0.0))
     if ic_stream is not None:
-        ic = _read_values(ic_stream, "ic", parents)
-        for s in parents:
-            ic.setdefault(s, 0.0)
+        graph.ic.update(_read_values(ic_stream, "ic", parents))
     elif counts_stream is not None:
-        counts = _read_values(counts_stream, "counts", parents)
-        graph = TaxonomyGraph(parents=parents, lemma_index=lemma_index,
-                              ic={s: 0.0 for s in parents})
-        graph.ic = compute_ic(graph, counts)
-        return graph
+        graph.ic = compute_ic(graph, _read_values(counts_stream, "counts", parents))
     else:
         warnings.warn("no IC source given; all IC values set to 0",
                       RuntimeWarning, stacklevel=2)
-        ic = {s: 0.0 for s in parents}
-    return TaxonomyGraph(parents=parents, lemma_index=lemma_index, ic=ic)
+    return graph
 
 
 def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, float]:

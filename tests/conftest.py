@@ -4,17 +4,22 @@ import json
 import numpy as np
 
 from phototopics.corpus import CooccurrenceMatrix, Vocabulary
+from phototopics.plsa import fold_in
 from phototopics.taxonomy import load_taxonomy
 
 
-def make_corpus(dense, doc_ids=None):
+def make_corpus(dense):
     """CooccurrenceMatrix from a dense M x N array."""
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
-    if doc_ids is None:
-        doc_ids = [f"img{j}" for j in range(dense.shape[1])]
-    return CooccurrenceMatrix(dense.shape[0], doc_ids, rows, cols,
-                              dense[rows, cols])
+    return CooccurrenceMatrix(*dense.shape, rows, cols, dense[rows, cols])
+
+
+def fold_in_one(model, word_indices, word_values):
+    """``plsa.fold_in`` of one document given by its word indices and values."""
+    X = CooccurrenceMatrix(model.n_words, 1, word_indices,
+                           np.zeros(len(word_indices), dtype=np.int64), word_values)
+    return fold_in(model, X)[0]
 
 
 def column(X, j):

@@ -16,13 +16,14 @@ import phototopics.corpus as corpus
 import phototopics.naming as naming
 import phototopics.plsa as plsa
 from phototopics.cli import main
-from phototopics.plsa import TrainConfig, em_step, fold_in, init_model, train
+from phototopics.plsa import TrainConfig, em_step, init_model, train
 from phototopics.taxonomy import lcs, lin_similarity
 
 from conftest import (
     ANIMAL_WORDS,
     FOOD_WORDS,
     column,
+    fold_in_one,
     food_animal_setup,
     planted_corpus,
     random_corpus,
@@ -65,7 +66,7 @@ def test_criterion_3_k1_closed_form():
         X = random_corpus(rng)
         model = init_model(1, X.n_words, seed=seed, n_docs=X.n_docs)
         new, _ll = em_step(model, X, smoothing=0.0)
-        empirical = X.to_dense().sum(axis=1) / X.total
+        empirical = X.to_dense().sum(axis=1) / X.vals.sum()
         assert np.abs(new.word_given_topic[0] - empirical).max() < 1e-12
     _report(3, "K=1 closed form within 1e-12")
 
@@ -90,7 +91,7 @@ def test_criterion_5_fold_in():
     worst = 0.0
     for j in range(X.n_docs):
         widx, wval = column(X, j)
-        mixture = fold_in(model, widx, wval)
+        mixture = fold_in_one(model, widx, wval)
         worst = max(worst, float(np.abs(mixture - model.doc_mixtures[j]).max()))
     assert model.to_json().encode() == before, "fold_in mutated the model"
     assert worst < 1e-3, f"fold-in deviates by {worst:.2e}"

@@ -171,7 +171,7 @@ class TestBuildCooccurrence:
     @pytest.mark.parametrize("val", [float("nan"), float("inf")])
     def test_non_finite_value_rejected(self, val):
         with pytest.raises(ValidationError, match="finite"):
-            CooccurrenceMatrix(1, ["a", "b"], [0, 0], [0, 1], [1.0, val])
+            CooccurrenceMatrix(1, 2, [0, 0], [0, 1], [1.0, val])
 
     def test_unknown_weighting_rejected(self):
         vocab = Vocabulary(("dog",))
@@ -203,7 +203,7 @@ class TestBuildCooccurrence:
                     tuple((str(t), float(rng.random())) for t in tags)))
             X = build_cooccurrence(records, vocab, weighting)
             ref = reference_cooccurrence(records, vocab, weighting)
-            assert X.doc_ids == ref.doc_ids
+            assert X.n_docs == ref.n_docs
             assert X.n_words == ref.n_words
             for got, want in ((X.rows, ref.rows), (X.cols, ref.cols),
                               (X.vals, ref.vals)):
@@ -215,6 +215,35 @@ class TestBuildCooccurrence:
                 assert np.array_equal(wval, ref.vals[ref.cols == j])
 
 
+class TestCooccurrenceMatrix:
+    def test_entries_put_in_document_then_word_order(self):
+        """Entries shuffled across documents give exactly the arrays of
+        the sorted input."""
+        rows = np.array([0, 2, 1, 0, 3, 1, 2])
+        cols = np.array([0, 0, 1, 2, 2, 3, 3])
+        vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        rng = np.random.default_rng(0)
+        for perm in [np.arange(len(rows))] + [rng.permutation(len(rows))
+                                              for _ in range(5)]:
+            X = CooccurrenceMatrix(4, 5, rows[perm], cols[perm], vals[perm])
+            for got, want in ((X.rows, rows), (X.cols, cols), (X.vals, vals)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([[0, 1]], [[0, 1]], [[1.0, 1.0]]),
+        ([[0], [1]], [0, 1], [1.0, 1.0]),
+        ([0, 1], [0, 1], [[1.0], [1.0]]),
+        (0, 0, 1.0),
+    ], ids=["all-2d", "rows-2d", "vals-2d", "scalars"])
+    def test_entries_not_1d_rejected(self, rows, cols, vals):
+        with pytest.raises(ValidationError, match="1-D"):
+            CooccurrenceMatrix(2, 2, rows, cols, vals)
+
+    def test_negative_n_docs_rejected(self):
+        with pytest.raises(ValidationError, match="n_docs"):
+            CooccurrenceMatrix(2, -1, [], [], [])
+
+
 def reference_cooccurrence(records, vocab, weighting):
     """One entry per in-vocabulary tag, sorted by document, then word."""
     entries = sorted(
@@ -222,7 +251,7 @@ def reference_cooccurrence(records, vocab, weighting):
         for j, rec in enumerate(records) for tag, conf in rec.tags
         if tag in vocab.index)
     cols, rows, vals = zip(*entries) if entries else ((), (), ())
-    return CooccurrenceMatrix(vocab.size, [rec.image_id for rec in records],
+    return CooccurrenceMatrix(vocab.size, len(records),
                               np.asarray(rows, dtype=np.int64),
                               np.asarray(cols, dtype=np.int64),
                               np.asarray(vals, dtype=np.float64))

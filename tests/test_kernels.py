@@ -90,16 +90,16 @@ def test_fold_in_matches_reference_loop():
 @pytest.mark.parametrize("n_topics", [1, 2, 7, 8, 9, 17])
 def test_fold_in_independent_of_batch(n_topics):
     """Each document's mixture is bit-identical whether it is folded in
-    alone or with others, whatever the batch's entry order. With
-    tol = 1e-3 the documents stop at different iterations and some run
-    out of iterations; with K >= 8 each entry's normalizer is a pairwise
-    sum."""
+    alone or with others, whatever the entry order within each document.
+    With tol = 1e-3 the documents stop at different iterations and some
+    run out of iterations; with K >= 8 each entry's normalizer is a
+    pairwise sum."""
     rng = np.random.default_rng(4)
     for _ in range(3):
         X = random_corpus(rng, max_docs=30)
         pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
-        order = np.lexsort((X.rows, X.cols))  # as build_cooccurrence orders
-        for perm in (order, rng.permutation(X.nnz)):
+        order = np.lexsort((X.rows, X.cols))  # as CooccurrenceMatrix orders
+        for perm in (order, np.lexsort((rng.random(X.nnz), X.cols))):
             rows, cols, vals = X.rows[perm], X.cols[perm], X.vals[perm]
             got = _kernels.fold_in_kernel(rows, vals, pwz, 60, 1e-3,
                                           cols, X.n_docs)
@@ -118,7 +118,7 @@ def test_fold_in_independent_of_blocking(monkeypatch, block_elements):
     for _ in range(3):
         X = random_corpus(rng, max_docs=30)
         pwz, _ = _random_params(rng, 3, X.n_words, 1)
-        perm = rng.permutation(X.nnz)
+        perm = np.lexsort((rng.random(X.nnz), X.cols))
         args = (X.rows[perm], X.vals[perm], pwz, 60, 1e-3, X.cols[perm], X.n_docs)
         whole = _kernels.fold_in_kernel(*args)
         with monkeypatch.context() as m:

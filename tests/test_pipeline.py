@@ -6,7 +6,6 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from phototopics import plsa
 from phototopics.corpus import TagRecord, Vocabulary, vectorize_record
 from phototopics.exceptions import TransportError, ValidationError
 from phototopics.naming import TopicNaming
@@ -21,7 +20,7 @@ from phototopics.pipeline import (
 )
 from phototopics.plsa import PlsaModel, TrainConfig, train
 
-from conftest import make_corpus, planted_corpus
+from conftest import fold_in_one, make_corpus, planted_corpus
 
 
 def _toy_model_and_vocab():
@@ -134,6 +133,23 @@ class TestOrganizeCollection:
         assert len(coll.entries) == len(records)
         assert coll.coverage == 5 / 6
 
+    def test_topic_named_null_keeps_its_own_label(self):
+        """A topic that naming called "Null" is labelled ``Topic k``, as
+        without names: in the manifest "Null" means only "below the
+        threshold", and only those images are uncovered."""
+        model, vocab = _toy_model_and_vocab()
+        names = [_names()[0], TopicNaming(1, "Null", (0.0, 0.0), True)]
+        records = [TagRecord("a", "u1", (("dog", 0.9),)),
+                   TagRecord("b", "u1", (("beach", 0.9),)),
+                   TagRecord("c", "u1", ())]
+        coll = organize_collection(records, model, vocab, names=names,
+                                   threshold=0.6)
+        assert [e.topic_name for e in coll.entries] == [
+            "Topic 1", "Food and Drinks", "Null"]
+        assert coll.index == {"Topic 1": {"": ["a"]},
+                              "Food and Drinks": {"": ["b"]},
+                              "Null": {"": ["c"]}}
+        assert coll.coverage == 2 / 3
 
     def test_duplicate_image_id_rejected(self):
         model, vocab = _toy_model_and_vocab()
@@ -165,7 +181,7 @@ class TestFoldInRecords:
         got = fold_in_records(records, model, vocab, weighting)
         assert got.shape == (len(records), 3)
         for rec, row in zip(records, got):
-            alone = plsa.fold_in(model, *vectorize_record(rec, vocab, weighting))
+            alone = fold_in_one(model, *vectorize_record(rec, vocab, weighting))
             assert np.array_equal(row, alone), rec.image_id
         uniform = [not any(t in vocab.index and (c > 0 or weighting == "binary")
                            for t, c in rec.tags) for rec in records]
