@@ -54,6 +54,8 @@ def _read_names_result(path) -> list[nm.TopicNaming]:
             f"scores and duplicate ({exc!r})") from exc
     if not all(isinstance(n.name, str) for n in names):
         raise ValidationError("names result: every name must be a string")
+    if not all(type(n.topic) is int for n in names):
+        raise ValidationError("names result: every topic must be an integer")
     return names
 
 
@@ -64,7 +66,7 @@ def _load_graph(args):
 
         tax, lex = read(args.taxonomy), read(args.lexicon)
         ic = read(args.ic) if args.ic else None
-        counts = read(args.ic_counts) if args.ic_counts and not args.ic else None
+        counts = read(args.ic_counts) if args.ic_counts else None
         return load_taxonomy(tax, lex, ic_stream=ic, counts_stream=counts)
 
 
@@ -78,11 +80,11 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = plsa.TrainConfig(n_topics=args.topics, max_iters=args.max_iters,
+                           tol=args.tol, seed=args.seed)
     records = _read_records(args.records)
     vocab = Vocabulary.load(args.vocab)
     X = build_cooccurrence(records, vocab, weighting=args.weighting)
-    cfg = plsa.TrainConfig(n_topics=args.topics, max_iters=args.max_iters,
-                           tol=args.tol, seed=args.seed)
     model = plsa.train(X, cfg, vocab=vocab)
     model.save(args.output)
     print(f"trained K={model.n_topics} in {model.n_iters} iterations, "
@@ -242,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names-file")
     p.add_argument("--taxonomy", required=True)
     p.add_argument("--lexicon", required=True)
-    p.add_argument("--ic")
-    p.add_argument("--ic-counts")
+    ic_source = p.add_mutually_exclusive_group()
+    ic_source.add_argument("--ic")
+    ic_source.add_argument("--ic-counts")
     p.add_argument("--distinct", action="store_true",
                    help="force a one-to-one topic/name matching")
     p.set_defaults(func=cmd_name_topics)

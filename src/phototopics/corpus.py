@@ -144,7 +144,9 @@ class CooccurrenceMatrix:
 def tag_record_from_dict(obj) -> TagRecord:
     """One tag record from its decoded JSON object.
 
-    Tags are lowercased; duplicate tags are merged keeping the maximum
+    ``image_id``, ``collection_id`` and each tag must be strings and each
+    confidence a number (not a bool); nothing is coerced. Tags are
+    lowercased; duplicate tags are merged keeping the maximum
     confidence. Each confidence is range-checked before the merge, which
     would otherwise hide a bad value behind a larger one.
     """
@@ -154,22 +156,34 @@ def tag_record_from_dict(obj) -> TagRecord:
         raw_tags = obj["tags"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed tag record: {exc!r}") from exc
+    if not (isinstance(image_id, str) and isinstance(collection_id, str)):
+        raise ValidationError(
+            "malformed tag record: image_id and collection_id must be strings")
     if not isinstance(raw_tags, list):
         raise ValidationError("malformed tag record: tags must be a list")
     merged: dict[str, float] = {}
     for entry in raw_tags:
         try:
-            tag = str(entry["tag"]).lower()
-            conf = float(entry["confidence"])
-        except (KeyError, TypeError, ValueError) as exc:
+            tag = entry["tag"]
+            conf = entry["confidence"]
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed tag entry: {exc!r}") from exc
+        # JSON decodes a number to float or int; bool is an int subclass
+        if type(conf) is not float:
+            if type(conf) is not int:
+                raise ValidationError(
+                    f"malformed tag entry: confidence {conf!r} is not a number")
+            conf = float(conf)
+        if type(tag) is not str:
+            raise ValidationError(f"malformed tag entry: tag {tag!r} is not a string")
+        tag = tag.lower()
         if not 0.0 <= conf <= 1.0:
             raise ValidationError(f"confidence {conf} outside [0, 1]")
         if tag not in merged or conf > merged[tag]:
             merged[tag] = conf
     return TagRecord(
-        image_id=str(image_id),
-        collection_id=str(collection_id),
+        image_id=image_id,
+        collection_id=collection_id,
         tags=tuple(merged.items()),
     )
 

@@ -58,6 +58,8 @@ class TrainConfig:
         if not 0 <= self.smoothing < math.inf:
             raise ValidationError(
                 f"smoothing must be finite and >= 0; got {self.smoothing!r}")
+        if not _is_count(self.seed):
+            raise ValidationError(f"seed must be an integer >= 0; got {self.seed!r}")
 
 
 class PlsaModel:
@@ -74,7 +76,7 @@ class PlsaModel:
         self.word_given_topic = np.asarray(word_given_topic, dtype=np.float64)
         self.doc_mixtures = np.asarray(doc_mixtures, dtype=np.float64)
         self.topic_prior = np.asarray(topic_prior, dtype=np.float64)
-        self.seed = int(seed)
+        self.seed = seed
         self.vocab_hash = vocab_hash
         self.n_iters = n_iters
         self.final_log_likelihood = final_log_likelihood
@@ -125,8 +127,8 @@ class PlsaModel:
 
         Malformed text, a ``format_version`` other than
         ``MODEL_FORMAT_VERSION``, inconsistent shapes (``n_topics`` and
-        ``n_words`` included), an ``n_iters`` that is not an integer >= 0
-        and parameters that fail ``validate()`` all raise
+        ``n_words`` included), a ``seed`` or ``n_iters`` that is not an
+        integer >= 0 and parameters that fail ``validate()`` all raise
         ``ValidationError``.
         """
         try:
@@ -154,9 +156,10 @@ class PlsaModel:
                 f"(expected {MODEL_FORMAT_VERSION})")
         if not isinstance(model.vocab_hash, str):
             raise ValidationError("malformed model: vocab_hash must be a string")
-        if not _is_count(model.n_iters):
-            raise ValidationError("malformed model: n_iters must be an integer "
-                                  f">= 0; got {model.n_iters!r}")
+        for name in ("seed", "n_iters"):
+            if not _is_count(getattr(model, name)):
+                raise ValidationError(f"malformed model: {name} must be an integer "
+                                      f">= 0; got {getattr(model, name)!r}")
         shape = model.word_given_topic.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("malformed model: word_given_topic must be a "

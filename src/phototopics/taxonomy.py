@@ -11,18 +11,21 @@ from __future__ import annotations
 import math
 import warnings
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exceptions import ValidationError
 
 
 @dataclass
 class TaxonomyGraph:
-    """Immutable after load; all queries are read-only."""
+    """Immutable after load; queries only read it, apart from the memo
+    in which ``hops_up`` keeps each synset's map."""
 
     parents: dict[str, tuple[str, ...]]
     lemma_index: dict[str, tuple[str, ...]]
     ic: dict[str, float]
+    _hops: dict[str, dict[str, int]] = field(default_factory=dict, init=False,
+                                             repr=False, compare=False)
 
     def roots(self) -> list[str]:
         return sorted(s for s, ps in self.parents.items() if not ps)
@@ -32,7 +35,14 @@ class TaxonomyGraph:
         return set(self.hops_up(synset))
 
     def hops_up(self, synset: str) -> dict[str, int]:
-        """Shortest upward hop count from a synset to each of its ancestors."""
+        """Shortest upward hop count from a synset to each of its ancestors.
+
+        Each synset's map is computed once and kept on the graph, so the
+        returned dict is shared by every caller and must not be modified.
+        """
+        dist = self._hops.get(synset)
+        if dist is not None:
+            return dist
         if synset not in self.parents:
             raise ValidationError(f"unknown synset {synset!r}")
         dist = {synset: 0}
@@ -43,32 +53,8 @@ class TaxonomyGraph:
                 if p not in dist:
                     dist[p] = dist[s] + 1
                     queue.append(p)
+        self._hops[synset] = dist
         return dist
-
-
-def _topological_order(parents: dict[str, tuple[str, ...]]) -> list[str]:
-    """Parents-before-children order; raises on a cycle, naming one edge."""
-    indegree = {s: len(ps) for s, ps in parents.items()}
-    children: dict[str, list[str]] = {s: [] for s in parents}
-    for s, ps in parents.items():
-        for p in ps:
-            children[p].append(s)
-    queue = deque(sorted(s for s, d in indegree.items() if d == 0))
-    order = []
-    while queue:
-        s = queue.popleft()
-        order.append(s)
-        for c in children[s]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                queue.append(c)
-    if len(order) < len(parents):
-        stuck = sorted(s for s, d in indegree.items() if d > 0)
-        culprit = stuck[0]
-        edge_parent = next(p for p in parents[culprit] if p in stuck)
-        raise ValidationError(
-            f"taxonomy contains a cycle through edge {edge_parent!r} -> {culprit!r}")
-    return order
 
 
 def read_tsv(stream, what: str, n_fields: int):
@@ -117,26 +103,37 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
     IC defaults to 0 everywhere with a warning.
     """
     parents: dict[str, tuple[str, ...]] = {}
-    for _lineno, (synset, parent_field) in read_tsv(taxonomy_stream, "taxonomy", 2):
+    for lineno, (synset, parent_field) in read_tsv(taxonomy_stream, "taxonomy", 2):
+        if synset in parents:
+            raise ValidationError(
+                f"malformed taxonomy line {lineno}: synset {synset!r} is listed twice")
         ps = tuple(p.strip() for p in parent_field.split(",") if p.strip())
         parents[synset] = ps
     for s, ps in parents.items():
         for p in ps:
             if p not in parents:
                 raise ValidationError(f"synset {s!r} names unknown parent {p!r}")
-    _topological_order(parents)  # validates acyclicity
+    graph = TaxonomyGraph(parents=parents, lemma_index={},
+                          ic=dict.fromkeys(parents, 0.0))
+    # The edge p -> s closes a cycle exactly when s is an ancestor of p.
+    for s, ps in parents.items():
+        for p in ps:
+            if s in graph.hops_up(p):
+                raise ValidationError(
+                    f"taxonomy contains a cycle through edge {p!r} -> {s!r}")
 
-    lemma_index: dict[str, tuple[str, ...]] = {}
-    for _lineno, (token, synset_field) in read_tsv(lexicon_stream, "lexicon", 2):
+    for lineno, (token, synset_field) in read_tsv(lexicon_stream, "lexicon", 2):
         ids = tuple(s.strip() for s in synset_field.split(",") if s.strip())
         for s in ids:
             if s not in parents:
                 raise ValidationError(
                     f"lexicon token {token!r} references unknown synset {s!r}")
-        lemma_index[token.lower()] = ids
+        token = token.lower()
+        if token in graph.lemma_index:
+            raise ValidationError(f"malformed lexicon line {lineno}: token {token!r} "
+                                  "is listed twice (tokens are case-insensitive)")
+        graph.lemma_index[token] = ids
 
-    graph = TaxonomyGraph(parents=parents, lemma_index=lemma_index,
-                          ic=dict.fromkeys(parents, 0.0))
     if ic_stream is not None:
         graph.ic.update(_read_values(ic_stream, "ic", parents))
     elif counts_stream is not None:

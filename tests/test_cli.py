@@ -236,6 +236,25 @@ def test_malformed_names_result_exit_2(tmp_path, collection_file, trained,
                  "--names-result", str(names_path)]) == 2
 
 
+def test_negative_seed_exit_2(tmp_path, collection_file, trained, capsys):
+    vocab_path, _model_path = trained
+    capsys.readouterr()
+    assert main(["train", str(collection_file), str(vocab_path),
+                 "-o", str(tmp_path / "m.json"), "--seed", "-1"]) == 2
+    assert "seed must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_ic_and_ic_counts_together_exit_2(tmp_path, trained, capsys):
+    vocab_path, model_path = trained
+    tax, lex, ic = _taxonomy_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["name-topics", str(model_path), str(vocab_path),
+              "--taxonomy", str(tax), "--lexicon", str(lex),
+              "--ic", str(ic), "--ic-counts", str(ic)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threshold", ["2", "-0.1", "nan"])
 def test_threshold_outside_unit_interval_exit_2(tmp_path, collection_file,
                                                 trained, threshold):
@@ -417,6 +436,11 @@ SWEEP_INPUTS = {
         "empty-tag": _tag(""), "blank-tag": _tag(" "),
         "newline-in-tag": _tag("a\nb"), "cr-in-tag": _tag("a\rb"),
         "empty-image-id": _record(image_id=""),
+        "image-id-null": _record(image_id=None),
+        "collection-id-number": _record(collection_id=5),
+        "tag-null": _tag(None), "tag-object": _tag({"x": 1}),
+        "confidence-bool": _tag("dog", True),
+        "confidence-numeric-text": _tag("dog", "0.5"),
     }),
     "vocab": (["train", "fold-in", "name-topics", "coherence", "organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,
@@ -426,7 +450,8 @@ SWEEP_INPUTS = {
         "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
         "not-an-object": b"[1, 2]",
         "text-probabilities": _patch(word_given_topic=[["a", "b"], ["c", "d"]]),
-        "seed-text": _patch(seed="abc"),
+        "seed-text": _patch(seed="abc"), "seed-negative": _patch(seed=-3),
+        "seed-float": _patch(seed=1.7), "seed-bool": _patch(seed=True),
         "vocab-hash-number": _patch(vocab_hash=5),
         "prior-text": _patch(topic_prior="x"),
         "mixtures-number": _patch(doc_mixtures=5),
@@ -443,6 +468,9 @@ SWEEP_INPUTS = {
         "name-null": _patch_first(name=None),
         "name-list": _patch_first(name=["x"]),
         "scores-number": _patch_first(scores=5),
+        "topic-float": _patch_first(topic=0.0),
+        "topics-bool": lambda valid: json.dumps(
+            [{**e, "topic": bool(e["topic"])} for e in json.loads(valid)]).encode(),
     }),
     "scores": (["organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
@@ -460,11 +488,13 @@ SWEEP_INPUTS = {
         "one-field": b"root\n", "three-fields": b"root\t\tx\n",
         "unknown-parent": b"root\t\nfood\tnope\n",
         "cycle": b"a\tb\nb\ta\n",
+        "duplicate-synset": lambda valid: valid + b"food\troot\n",
     }),
     "lexicon": (["name-topics"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,
         "one-field": b"food\n", "three-fields": b"food\tfood\tx\n",
         "unknown-synset": b"food\tnope\n",
+        "duplicate-token": lambda valid: valid + b"Food\tfood\n",
     }),
     "ic": (["name-topics"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ class TestParseTagRecords:
     def test_tags_not_a_list_rejected(self):
         with pytest.raises(ValidationError, match="line 1"):
             parse_tag_records(['{"image_id":"a","collection_id":"u","tags":5}'])
+
+    @pytest.mark.parametrize("change", [
+        {"image_id": None}, {"image_id": 7}, {"collection_id": None},
+        {"collection_id": ["u"]},
+        {"tags": [{"tag": None, "confidence": 0.5}]},
+        {"tags": [{"tag": {"x": 1}, "confidence": 0.5}]},
+        {"tags": [{"tag": 3, "confidence": 0.5}]},
+        {"tags": [{"tag": "dog", "confidence": True}]},
+        {"tags": [{"tag": "dog", "confidence": "0.5"}]},
+        {"tags": [{"tag": "dog", "confidence": None}]},
+    ])
+    def test_fields_of_the_wrong_json_type_rejected(self, change):
+        obj = {"image_id": "b", "collection_id": "u",
+               "tags": [{"tag": "dog", "confidence": 0.5}], **change}
+        lines = [tag_record_line("a", "u", [("dog", 0.5)]), json.dumps(obj)]
+        with pytest.raises(ValidationError, match="line 2"):
+            parse_tag_records(lines)
+
+    def test_integer_confidence_accepted(self):
+        line = '{"image_id":"a","collection_id":"u","tags":[{"tag":"x","confidence":1}]}'
+        assert parse_tag_records([line])[0].tags == (("x", 1.0),)
 
     def test_confidence_out_of_range(self):
         line = '{"image_id":"a","collection_id":"u","tags":[{"tag":"x","confidence":1.5}]}'

@@ -113,6 +113,11 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
+    def test_seed_not_a_count_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            TrainConfig(seed=seed)
+
 
 class TestTrain:
     def test_identical_documents_get_identical_mixtures(self):
@@ -410,6 +415,10 @@ class TestModelSerialization:
         ({"n_topics": 3}, "n_topics"),
         ({"n_words": 2}, "n_words"),
         ({"n_words": 3.0}, "n_words"),
+        ({"seed": -3}, "seed"),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"seed": "abc"}, "seed"),
     ])
     def test_invalid_model_rejected_at_load(self, change, match):
         payload = json.loads(init_model(2, 3, seed=0, n_docs=1).to_json())

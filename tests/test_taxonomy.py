@@ -1,8 +1,12 @@
 import io
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phototopics.exceptions import ValidationError
 from phototopics.taxonomy import (
@@ -35,6 +39,31 @@ class TestLoadTaxonomy:
     def test_cycle_detected_naming_an_edge(self):
         with pytest.raises(ValidationError, match="cycle"):
             _load("root\tdog\ndog\troot\n", ic="root\t0\n")
+
+    def test_cycle_error_names_an_edge_on_the_cycle(self):
+        # a and b both hang below c, and c below b: only b <-> c is a cycle
+        with pytest.raises(ValidationError, match="edge 'c' -> 'b'"):
+            _load("a\tc\nb\tc\nc\tb\n", ic="a\t0\n")
+
+    def test_self_loop_is_a_cycle(self):
+        with pytest.raises(ValidationError, match="edge 'a' -> 'a'"):
+            _load("root\t\na\troot,a\n", ic="root\t0\n")
+
+    def test_cycle_rejected_before_the_lexicon_is_read(self):
+        class Unread(io.StringIO):
+            def __iter__(self):
+                raise AssertionError("lexicon read")
+
+        with pytest.raises(ValidationError, match="cycle"):
+            load_taxonomy(io.StringIO("a\tb\nb\ta\n"), Unread())
+
+    def test_duplicate_synset_rejected_naming_the_line(self):
+        with pytest.raises(ValidationError, match="taxonomy line 3: synset 'a'"):
+            _load("r\t\na\tr\na\tq\nq\tr\n", ic="r\t0\n")
+
+    def test_duplicate_token_after_lowercasing_rejected_naming_the_line(self):
+        with pytest.raises(ValidationError, match="lexicon line 2: token 'dog'"):
+            _load("root\t\n", "dog\troot\nDog\troot\n", ic="root\t0\n")
 
     def test_two_roots_allowed(self):
         g = _load("r1\t\nr2\t\na\tr1\n", ic="r1\t0\n")
@@ -215,3 +244,45 @@ class TestWordSimilarity:
         # bank1 shares the animal subtree with dog, bank2 only the root
         assert word_similarity(g, "bank", "dog") == pytest.approx(
             2 * 1.0 / 4.0, abs=1e-12)
+
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_hops_up_memo_matches_a_fresh_graph_in_any_order(seed, data):
+    loaded = random_dag_graph(np.random.default_rng(seed), max_nodes=20)
+
+    def fresh():
+        return TaxonomyGraph(loaded.parents, loaded.lemma_index, loaded.ic)
+
+    g = fresh()
+    order = data.draw(st.permutations(sorted(g.parents)))
+    first = {s: g.hops_up(s) for s in order}
+    for s in order:
+        assert g.hops_up(s) is first[s]
+        assert first[s] == fresh().hops_up(s) == loaded.hops_up(s)
+        assert first[s] == _exhaustive_hops(g, s)
+
+
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_back_edge_rejected_naming_an_edge_on_a_cycle(seed, data):
+    g = random_dag_graph(np.random.default_rng(seed), max_nodes=20)
+    child = data.draw(st.sampled_from(sorted(g.parents)))
+    # a parent below (or at) the child closes a cycle through it
+    below = sorted(s for s in g.parents if child in _exhaustive_ancestors(g, s))
+    parent = data.draw(st.sampled_from(below))
+    # relabel so that id order says nothing about the hierarchy
+    ids = sorted(g.parents)
+    new_id = dict(zip(ids, data.draw(st.permutations(ids))))
+    parents = {s: ps + (parent,) if s == child else ps for s, ps in g.parents.items()}
+    parents = {new_id[s]: tuple(map(new_id.get, ps)) for s, ps in parents.items()}
+    tax = "".join(f"{s}\t{','.join(ps)}\n" for s, ps in parents.items())
+    with pytest.raises(ValidationError, match="cycle") as exc:
+        load_taxonomy(io.StringIO(tax), io.StringIO(""))
+    p, s = re.search(r"edge '(.+)' -> '(.+)'", str(exc.value)).groups()
+    assert p in parents[s]
+    assert s in _exhaustive_ancestors(SimpleNamespace(parents=parents), p)
