@@ -87,6 +87,94 @@ class TestParseTagRecords:
         assert parse_tag_records([line])[0].image_id == "a"
 
 
+def _line(**change):
+    obj = {"image_id": "b", "collection_id": "u",
+           "tags": [{"tag": "dog", "confidence": 0.5}]}
+    obj.update(change)
+    return json.dumps(obj)
+
+
+def _tags(*entries):
+    return _line(tags=[{"tag": t, "confidence": c} for t, c in entries])
+
+
+GOOD = tag_record_line("a", "u", [("dog", 0.5)])
+
+# Malformed tag records and the exact error each one gets. Two faults in
+# one record report the one checked first: key lookups, then id types,
+# then the tag list, then each entry's confidence type, tag type and
+# confidence range, then an empty image id, then each tag's word check.
+GOLDEN_ERRORS = {
+    "bad-json": (["{broken"],
+                 "malformed tag record at line 1: Expecting property name "
+                 "enclosed in double quotes: line 1 column 2 (char 1)"),
+    "missing-key": (['{"image_id": "b", "collection_id": "u"}'],
+                    "malformed tag record: KeyError('tags') at line 1"),
+    "missing-entry-key": ([_line(tags=[{"tag": "dog"}])],
+                          "malformed tag entry: KeyError('confidence') at line 1"),
+    "not-an-object": (["5"],
+                      "malformed tag record: TypeError(\"'int' object is not "
+                      "subscriptable\") at line 1"),
+    "image-id-number": ([_line(image_id=7)],
+                        "malformed tag record: image_id and collection_id "
+                        "must be strings at line 1"),
+    "collection-id-null": ([_line(collection_id=None)],
+                           "malformed tag record: image_id and collection_id "
+                           "must be strings at line 1"),
+    "tags-not-a-list": ([_line(tags={"dog": 0.5})],
+                        "malformed tag record: tags must be a list at line 1"),
+    "tag-number": ([_tags((3, 0.5))],
+                   "malformed tag entry: tag 3 is not a string at line 1"),
+    "confidence-true": ([_tags(("dog", True))],
+                        "malformed tag entry: confidence True is not a number "
+                        "at line 1"),
+    "confidence-nan": (['{"image_id": "b", "collection_id": "u", '
+                        '"tags": [{"tag": "dog", "confidence": NaN}]}'],
+                       "confidence nan outside [0, 1] at line 1"),
+    "confidence-above-1": ([_tags(("dog", 1.5))],
+                           "confidence 1.5 outside [0, 1] at line 1"),
+    "confidence-below-0": ([_tags(("dog", -0.25))],
+                           "confidence -0.25 outside [0, 1] at line 1"),
+    "empty-image-id": ([_line(image_id="")],
+                       "image_id must be non-empty at line 1"),
+    "blank-tag": ([_tags(("cat", 0.5), ("  ", 0.5))],
+                  "tag '  ' in record 'b' is empty or blank, or contains a "
+                  "line break at line 1"),
+    "cr-in-tag": ([_tags(("A\rB", 0.5))],
+                  "tag 'a\\rb' in record 'b' is empty or blank, or contains a "
+                  "line break at line 1"),
+    "repeat-bad-first": ([_tags(("x", -0.5), ("X", 0.3))],
+                         "confidence -0.5 outside [0, 1] at line 1"),
+    "repeat-bad-last": ([_tags(("x", 0.3), ("X", 7))],
+                        "confidence 7.0 outside [0, 1] at line 1"),
+    "line-3": ([GOOD, "", _tags(("dog", "0.5"))],
+               "malformed tag entry: confidence '0.5' is not a number at line 3"),
+    "empty-id-and-blank-tag": ([_line(image_id="", tags=[{"tag": "", "confidence": 0.5}])],
+                               "image_id must be non-empty at line 1"),
+    "empty-id-and-bad-confidence": ([_line(image_id="", tags=[{"tag": "x", "confidence": 2}])],
+                                    "confidence 2.0 outside [0, 1] at line 1"),
+    "blank-tag-then-bad-confidence": ([_tags((" ", 0.5), ("x", 2))],
+                                      "confidence 2.0 outside [0, 1] at line 1"),
+    "confidence-type-and-tag-type": ([_tags((3, None))],
+                                     "malformed tag entry: confidence None is "
+                                     "not a number at line 1"),
+    "id-type-and-tags-type": ([_line(image_id=7, tags=5)],
+                              "malformed tag record: image_id and collection_id "
+                              "must be strings at line 1"),
+    "two-bad-tags": ([_tags(("a\nb", 0.5), ("", 0.5))],
+                     "tag 'a\\nb' in record 'b' is empty or blank, or contains "
+                     "a line break at line 1"),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_ERRORS)
+def test_malformed_record_error_text(case):
+    lines, message = GOLDEN_ERRORS[case]
+    with pytest.raises(ValidationError) as info:
+        parse_tag_records(lines)
+    assert str(info.value) == message
+
+
 class TestTagRecord:
     def test_empty_image_id_rejected(self):
         with pytest.raises(ValidationError):
