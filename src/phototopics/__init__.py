@@ -7,7 +7,7 @@ emits a topic -> category -> image manifest.
 
 from .corpus import (
     CooccurrenceMatrix,
-    TagRecord,
+    TagTable,
     Vocabulary,
     build_cooccurrence,
     build_vocabulary,

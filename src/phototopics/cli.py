@@ -98,8 +98,8 @@ def cmd_fold_in(args) -> int:
     records = _read_records(args.records)
     mixtures = pl.fold_in_records(records, model, vocab, args.weighting)
     with _open_out(args.output) as out:
-        for rec, mixture in zip(records, mixtures):
-            out.write(json.dumps({"image_id": rec.image_id,
+        for image_id, mixture in zip(records.image_ids, mixtures):
+            out.write(json.dumps({"image_id": image_id,
                                   "mixture": mixture.tolist()},
                                  sort_keys=True) + "\n")
     return 0
@@ -170,7 +170,7 @@ def cmd_organize(args) -> int:
         scores=scores, weighting=args.weighting)
     with open(args.output, "wb") as out:
         n = pl.emit_manifest(collection, out)
-    print(f"organized {len(collection.entries)} images, "
+    print(f"organized {len(collection.image_ids)} images, "
           f"coverage {collection.coverage:.3f}, {n} bytes -> {args.output}")
     return 0
 
@@ -184,11 +184,12 @@ def cmd_fetch_tags(args) -> int:
     api_key = os.environ.get(args.api_key_env) if args.api_key_env else None
     records, failures = pl.fetch_tags(args.endpoint, ids, api_key=api_key)
     with _open_out(args.output) as out:
-        for rec in records:
+        for j, image_id in enumerate(records.image_ids):
             out.write(json.dumps({
-                "image_id": rec.image_id,
-                "collection_id": rec.collection_id,
-                "tags": [{"tag": t, "confidence": c} for t, c in rec.tags],
+                "image_id": image_id,
+                "collection_id": records.collection_id(j),
+                "tags": [{"tag": t, "confidence": c}
+                         for t, c in records.record_tags(j)],
             }, sort_keys=True) + "\n")
     for image_id, reason in failures:
         print(f"failed: {image_id}: {reason}", file=sys.stderr)

@@ -3,7 +3,8 @@
 An image plays the role of a document and its auto-detected tags play the
 role of words. The tag-record file format is JSON lines: one object per
 line with fields ``image_id``, ``collection_id`` and ``tags`` (a list of
-``{"tag": ..., "confidence": ...}``).
+``{"tag": ..., "confidence": ...}``). Parsed records are held in one
+columnar ``TagTable``.
 """
 
 from __future__ import annotations
@@ -30,30 +31,129 @@ def _is_word(token: str) -> bool:
     return bool(token.strip()) and "\n" not in token and "\r" not in token
 
 
-@dataclass(frozen=True)
-class TagRecord:
-    """One image's tags with confidences.
+@dataclass(frozen=True, eq=False)
+class TagTable:
+    """Tag records in columns, one row per record.
 
-    Tags are unique and each one is a word a vocabulary file can hold.
-    ``tag_record_from_dict`` lowercases the tags and range-checks the
-    confidences.
+    Record ``j`` is image ``image_ids[j]`` of collection
+    ``collections[collection_ids[j]]``. Its tags are ``tags[tag_ids[i]]``
+    with confidence ``confidences[i]`` for ``i`` in
+    ``offsets[j]:offsets[j + 1]``, in first-occurrence order. ``tags`` and
+    ``collections`` list each distinct value once. Every tag is lowercase,
+    unique within its record and a word a vocabulary file can hold; every
+    confidence is in [0, 1]. ``TagTableBuilder`` checks each record.
     """
 
-    image_id: str
-    collection_id: str
-    tags: tuple[tuple[str, float], ...]
+    image_ids: list[str]
+    collection_ids: np.ndarray
+    collections: list[str]
+    tag_ids: np.ndarray
+    tags: list[str]
+    confidences: np.ndarray
+    offsets: np.ndarray
 
-    def __post_init__(self):
-        if not self.image_id:
-            raise ValidationError("image_id must be non-empty")
-        seen = set()
-        for tag, _conf in self.tags:
-            if tag in seen:
-                raise ValidationError(f"duplicate tag {tag!r} in record {self.image_id!r}")
-            seen.add(tag)
-            if not _is_word(tag):
-                raise ValidationError(
-                    f"tag {tag!r} in record {self.image_id!r} {_NOT_A_WORD}")
+    def __len__(self) -> int:
+        return len(self.image_ids)
+
+    def collection_id(self, j: int) -> str:
+        return self.collections[self.collection_ids[j]]
+
+    def record_tags(self, j: int) -> list[tuple[str, float]]:
+        """Record ``j``'s (tag, confidence) pairs."""
+        span = slice(self.offsets[j], self.offsets[j + 1])
+        return list(zip(map(self.tags.__getitem__, self.tag_ids[span].tolist()),
+                        self.confidences[span].tolist()))
+
+
+class TagTableBuilder:
+    """Checks tag records one at a time and collects them into a ``TagTable``.
+
+    ``image_id``, ``collection_id`` and each tag must be strings and each
+    confidence a number (not a bool); nothing is coerced. Tags are
+    lowercased; duplicate tags are merged keeping the maximum confidence.
+    Each confidence is range-checked before the merge, which would
+    otherwise hide a bad value behind a larger one. A record that fails a
+    check raises ``ValidationError`` and adds nothing.
+    """
+
+    def __init__(self):
+        self.image_ids: list[str] = []
+        self.collection_ids: list[int] = []
+        self.tag_ids: list[int] = []
+        self.confidences: list[float] = []
+        self.offsets = [0]
+        self.collection_index: dict[str, int] = {}
+        # tag -> id; every tag of an added record has passed _is_word
+        self.tag_index: dict[str, int] = {}
+
+    def add(self, obj) -> None:
+        """Check the decoded JSON object of one record and append it."""
+        try:
+            image_id = obj["image_id"]
+            collection_id = obj["collection_id"]
+            raw_tags = obj["tags"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed tag record: {exc!r}") from exc
+        if not (isinstance(image_id, str) and isinstance(collection_id, str)):
+            raise ValidationError(
+                "malformed tag record: image_id and collection_id must be strings")
+        if not isinstance(raw_tags, list):
+            raise ValidationError("malformed tag record: tags must be a list")
+        known = self.tag_index
+        new: list[str] = []  # tags this record interned, until it passes
+        merged: dict[int, float] = {}  # tag id -> confidence
+        try:
+            for entry in raw_tags:
+                try:
+                    tag = entry["tag"]
+                    conf = entry["confidence"]
+                except (KeyError, TypeError) as exc:
+                    raise ValidationError(f"malformed tag entry: {exc!r}") from exc
+                # JSON decodes a number to float or int; bool is an int subclass
+                if type(conf) is not float:
+                    if type(conf) is not int:
+                        raise ValidationError(
+                            f"malformed tag entry: confidence {conf!r} is not a number")
+                    conf = float(conf)
+                if type(tag) is not str:
+                    raise ValidationError(
+                        f"malformed tag entry: tag {tag!r} is not a string")
+                tag = tag.lower()
+                if not 0.0 <= conf <= 1.0:
+                    raise ValidationError(f"confidence {conf} outside [0, 1]")
+                tag_id = known.get(tag)
+                if tag_id is None:
+                    tag_id = known[tag] = len(known)
+                    new.append(tag)
+                if tag_id not in merged or conf > merged[tag_id]:
+                    merged[tag_id] = conf
+            if not image_id:
+                raise ValidationError("image_id must be non-empty")
+            for tag in new:
+                if not _is_word(tag):
+                    raise ValidationError(
+                        f"tag {tag!r} in record {image_id!r} {_NOT_A_WORD}")
+        except ValidationError:
+            for tag in new:
+                del known[tag]
+            raise
+        self.image_ids.append(image_id)
+        self.collection_ids.append(self.collection_index.setdefault(
+            collection_id, len(self.collection_index)))
+        self.tag_ids += merged
+        self.confidences += merged.values()
+        self.offsets.append(len(self.tag_ids))
+
+    def build(self) -> TagTable:
+        return TagTable(
+            image_ids=list(self.image_ids),
+            collection_ids=np.array(self.collection_ids, dtype=np.int64),
+            collections=list(self.collection_index),
+            tag_ids=np.array(self.tag_ids, dtype=np.int64),
+            tags=list(self.tag_index),
+            confidences=np.array(self.confidences, dtype=np.float64),
+            offsets=np.array(self.offsets, dtype=np.int64),
+        )
 
 
 @dataclass(frozen=True)
@@ -141,74 +241,32 @@ class CooccurrenceMatrix:
         return dense
 
 
-def tag_record_from_dict(obj) -> TagRecord:
-    """One tag record from its decoded JSON object.
-
-    ``image_id``, ``collection_id`` and each tag must be strings and each
-    confidence a number (not a bool); nothing is coerced. Tags are
-    lowercased; duplicate tags are merged keeping the maximum
-    confidence. Each confidence is range-checked before the merge, which
-    would otherwise hide a bad value behind a larger one.
-    """
-    try:
-        image_id = obj["image_id"]
-        collection_id = obj["collection_id"]
-        raw_tags = obj["tags"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed tag record: {exc!r}") from exc
-    if not (isinstance(image_id, str) and isinstance(collection_id, str)):
-        raise ValidationError(
-            "malformed tag record: image_id and collection_id must be strings")
-    if not isinstance(raw_tags, list):
-        raise ValidationError("malformed tag record: tags must be a list")
-    merged: dict[str, float] = {}
-    for entry in raw_tags:
-        try:
-            tag = entry["tag"]
-            conf = entry["confidence"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed tag entry: {exc!r}") from exc
-        # JSON decodes a number to float or int; bool is an int subclass
-        if type(conf) is not float:
-            if type(conf) is not int:
-                raise ValidationError(
-                    f"malformed tag entry: confidence {conf!r} is not a number")
-            conf = float(conf)
-        if type(tag) is not str:
-            raise ValidationError(f"malformed tag entry: tag {tag!r} is not a string")
-        tag = tag.lower()
-        if not 0.0 <= conf <= 1.0:
-            raise ValidationError(f"confidence {conf} outside [0, 1]")
-        if tag not in merged or conf > merged[tag]:
-            merged[tag] = conf
-    return TagRecord(
-        image_id=image_id,
-        collection_id=collection_id,
-        tags=tuple(merged.items()),
-    )
-
-
-def parse_tag_records(stream) -> list[TagRecord]:
+def parse_tag_records(stream) -> TagTable:
     """Parse JSON-lines tag records from an iterable of lines or a file object.
 
-    Each line is converted by ``tag_record_from_dict``. Blank lines are
-    skipped.
+    Each line is checked by ``TagTableBuilder.add``; an error names the
+    line. Blank lines are skipped.
     """
-    records = []
+    builder = TagTableBuilder()
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(tag_record_from_dict(json.loads(line)))
+            builder.add(json.loads(line))
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed tag record at line {lineno}: {exc}") from exc
         except ValidationError as exc:
             raise ValidationError(f"{exc} at line {lineno}") from exc
-    return records
+    return builder.build()
 
 
-def build_vocabulary(records: list[TagRecord],
+def _record_of_entry(records: TagTable) -> np.ndarray:
+    """The record each tag entry belongs to."""
+    return np.repeat(np.arange(len(records)), np.diff(records.offsets))
+
+
+def build_vocabulary(records: TagTable,
                      min_count: int = DEFAULT_MIN_COUNT,
                      min_collections: int = DEFAULT_MIN_COLLECTIONS) -> Vocabulary:
     """Filter tags by total usage and collection spread.
@@ -220,20 +278,16 @@ def build_vocabulary(records: list[TagRecord],
     """
     if min_count < 1 or min_collections < 1:
         raise ValidationError("min_count and min_collections must be >= 1")
-    counts: dict[str, int] = {}
-    collections: dict[str, set[str]] = {}
-    for rec in records:
-        for tag, _conf in rec.tags:
-            counts[tag] = counts.get(tag, 0) + 1
-            collections.setdefault(tag, set()).add(rec.collection_id)
-    words = sorted(
-        tag for tag, n in counts.items()
-        if n > min_count and len(collections[tag]) >= min_collections
-    )
-    return Vocabulary(tuple(words))
+    n_tags = len(records.tags)
+    counts = np.bincount(records.tag_ids, minlength=n_tags)
+    pairs = np.unique(records.collection_ids[_record_of_entry(records)] * n_tags
+                      + records.tag_ids)
+    spread = np.bincount(pairs % n_tags, minlength=n_tags)
+    keep = np.flatnonzero((counts > min_count) & (spread >= min_collections))
+    return Vocabulary(tuple(sorted(records.tags[i] for i in keep.tolist())))
 
 
-def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
+def build_cooccurrence(records: TagTable, vocab: Vocabulary,
                        weighting: str = "binary") -> CooccurrenceMatrix:
     """Assemble the M x N co-occurrence matrix over all records.
 
@@ -243,24 +297,24 @@ def build_cooccurrence(records: list[TagRecord], vocab: Vocabulary,
     """
     if weighting not in ("binary", "confidence"):
         raise ValidationError(f"unknown weighting {weighting!r}")
-    lens = [len(rec.tags) for rec in records]
-    n_tags = sum(lens)
-    tags = (tag for rec in records for tag, _conf in rec.tags)
-    rows = np.fromiter(map(vocab.index.get, tags, repeat(-1)), np.int64, n_tags)
-    cols = np.repeat(np.arange(len(records)), lens)
+    word_of_tag = np.fromiter(map(vocab.index.get, records.tags, repeat(-1)),
+                              np.int64, len(records.tags))
+    rows = word_of_tag[records.tag_ids]
     known = rows >= 0
     if weighting == "binary":
         vals = np.ones(np.count_nonzero(known))
     else:
-        vals = np.fromiter((conf for rec in records for _tag, conf in rec.tags),
-                           np.float64, n_tags)[known]
-    rows, cols = rows[known], cols[known]
-    return CooccurrenceMatrix(vocab.size, len(records), rows, cols, vals)
+        vals = records.confidences[known]
+    return CooccurrenceMatrix(vocab.size, len(records), rows[known],
+                              _record_of_entry(records)[known], vals)
 
 
-def vectorize_record(record: TagRecord, vocab: Vocabulary,
+def vectorize_record(record: TagTable, vocab: Vocabulary,
                      weighting: str = "binary") -> tuple[np.ndarray, np.ndarray]:
-    """Word indices and values of one record, by word index; out-of-vocabulary
-    tags dropped. This is ``build_cooccurrence`` over the one record."""
-    X = build_cooccurrence([record], vocab, weighting)
+    """Word indices and values of a one-record table, by word index;
+    out-of-vocabulary tags dropped. This is ``build_cooccurrence`` over
+    the one record."""
+    if len(record) != 1:
+        raise ValidationError(f"expected one record; got {len(record)}")
+    X = build_cooccurrence(record, vocab, weighting)
     return X.rows, X.vals

@@ -8,14 +8,14 @@ scores, and emits a deterministic hierarchical manifest.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 
 import numpy as np
 
 from . import plsa
-from .corpus import TagRecord, Vocabulary, build_cooccurrence, tag_record_from_dict
+from .corpus import TagTable, TagTableBuilder, Vocabulary, build_cooccurrence
 from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
@@ -90,37 +90,38 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
 
 
 @dataclass
-class ImageEntry:
-    image_id: str
-    topic_name: str
-    mixture: tuple[float, ...]
-    category: str | None = None
-    category_score: float | None = None
-
-
-@dataclass
 class OrganizedCollection:
-    """Hierarchical manifest: topic -> category -> sorted image ids."""
+    """Hierarchical manifest: topic -> category -> sorted image ids.
+
+    Image ``j`` is ``image_ids[j]`` (sorted), assigned the topic named
+    ``topics[j]`` with mixture ``mixtures[j]`` (one row of an n x K
+    matrix). ``categories`` is None without category scores; with them,
+    ``categories[j]`` is the image's (category, score) or None.
+    """
 
     collection_id: str
     model_hash: str
-    entries: list[ImageEntry]
+    image_ids: list[str]
+    topics: list[str]
+    mixtures: np.ndarray
     coverage: float
     index: dict[str, dict[str, list[str]]]
+    categories: list[tuple[str, float] | None] | None = None
 
 
-def _build_index(entries: list[ImageEntry]) -> dict[str, dict[str, list[str]]]:
+def _build_index(image_ids: list[str], topics: list[str],
+                 categories: list[tuple[str, float] | None] | None
+                 ) -> dict[str, dict[str, list[str]]]:
+    """Topic -> category ("" for none) -> image ids, in the given order."""
     index: dict[str, dict[str, list[str]]] = {}
-    for e in entries:
-        bucket = e.category if e.category is not None else ""
-        index.setdefault(e.topic_name, {}).setdefault(bucket, []).append(e.image_id)
-    for topic in index.values():
-        for ids in topic.values():
-            ids.sort()
+    for image_id, topic, category in zip(
+            image_ids, topics, categories or repeat(None)):
+        bucket = category[0] if category is not None else ""
+        index.setdefault(topic, {}).setdefault(bucket, []).append(image_id)
     return index
 
 
-def fold_in_records(records: list[TagRecord], model: PlsaModel,
+def fold_in_records(records: TagTable, model: PlsaModel,
                     vocab: Vocabulary, weighting: str = "binary"):
     """Topic mixtures of the records, one row each in the given order,
     folded in together over one co-occurrence matrix.
@@ -132,7 +133,7 @@ def fold_in_records(records: list[TagRecord], model: PlsaModel,
     return plsa.fold_in(model, build_cooccurrence(records, vocab, weighting))
 
 
-def organize_collection(records: list[TagRecord], model: PlsaModel,
+def organize_collection(records: TagTable, model: PlsaModel,
                         vocab: Vocabulary, names: list[TopicNaming] | None = None,
                         threshold: float = DEFAULT_NULL_THRESHOLD,
                         scores: CategoryScores | None = None,
@@ -140,15 +141,17 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     """Fold in every record, assign topics and attach category scores.
 
     Image ids must be unique: a repeated id would appear twice in the
-    manifest and count twice towards coverage. Records are processed in
-    image-id order, so their input order cannot change the result; the
+    manifest and count twice towards coverage. Images are listed in
+    image-id order, and each record's mixture does not depend on where
+    it stands, so the input order cannot change the result; the
     manifest takes the collection of the record with the lowest image id.
     """
+    image_ids = records.image_ids
     seen: set[str] = set()
-    for rec in records:
-        if rec.image_id in seen:
-            raise ValidationError(f"duplicate image_id {rec.image_id!r}")
-        seen.add(rec.image_id)
+    for image_id in image_ids:
+        if image_id in seen:
+            raise ValidationError(f"duplicate image_id {image_id!r}")
+        seen.add(image_id)
     if names is not None and [n.topic for n in names] != list(range(model.n_topics)):
         raise ValidationError(
             "naming result must name every topic once, in topic order")
@@ -158,27 +161,30 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
     if names is not None:
         topic_names = [n.name if n.name != NULL_TOPIC_NAME else topic_names[n.topic]
                        for n in names]
-    ordered = sorted(records, key=lambda r: r.image_id)
-
-    theta = fold_in_records(ordered, model, vocab, weighting)
-    topics, _max_probs = plsa.assign_topics(theta, threshold)
     topic_names.append(NULL_TOPIC_NAME)  # topic -1
-    entries = []
-    for rec, topic, mixture in zip(ordered, topics.tolist(), theta.tolist()):
-        name = topic_names[topic]
-        entry = ImageEntry(rec.image_id, name, tuple(mixture))
-        if topic >= 0 and scores is not None:
-            best = scores.best_for_topic(rec.image_id, name)
-            if best is not None:
-                entry.category, entry.category_score = best[0], float(best[1])
-        entries.append(entry)
+    order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
+
+    theta = fold_in_records(records, model, vocab, weighting)[order]
+    topics, _max_probs = plsa.assign_topics(theta, threshold)
+    topics = topics.tolist()
+    sorted_ids = [image_ids[j] for j in order]
+    labels = [topic_names[k] for k in topics]
+    categories = None
+    if scores is not None:
+        categories = []
+        for image_id, topic, label in zip(sorted_ids, topics, labels):
+            best = scores.best_for_topic(image_id, label) if topic >= 0 else None
+            categories.append(None if best is None else (best[0], float(best[1])))
 
     return OrganizedCollection(
-        collection_id=ordered[0].collection_id if ordered else "",
+        collection_id=records.collection_id(order[0]) if order else "",
         model_hash=model.vocab_hash,
-        entries=entries,
-        coverage=np.count_nonzero(topics >= 0) / len(entries) if entries else 0.0,
-        index=_build_index(entries),
+        image_ids=sorted_ids,
+        topics=labels,
+        mixtures=theta,
+        coverage=(len(topics) - topics.count(-1)) / len(topics) if topics else 0.0,
+        index=_build_index(sorted_ids, labels, categories),
+        categories=categories,
     )
 
 
@@ -186,6 +192,13 @@ def organize_collection(records: list[TagRecord], model: PlsaModel,
 # writes, built here from the pieces json's C encoder uses: an indent makes
 # ``json.dumps`` fall back to its pure-Python encoder.
 _string = json.encoder.encode_basestring_ascii
+
+# One entry of the manifest's "images" list, nested two levels deep, keys sorted.
+_IMAGE_FIELDS = ('\n      "image_id": %s,\n      "mixture": [\n        %s\n      ],'
+                 '\n      "topic": %s\n    }')
+_IMAGE = "{" + _IMAGE_FIELDS
+_CATEGORIZED_IMAGE = '{\n      "category": %s,\n      "category_score": %s,' + _IMAGE_FIELDS
+_MIXTURE_SEPARATOR = ",\n        "
 
 
 def _layout(items: list[str], depth: int, brackets: str) -> str:
@@ -202,22 +215,23 @@ def _object(fields: list[tuple[str, str]], depth: int) -> str:
     return _layout([f"{_string(k)}: {v}" for k, v in fields], depth, "{}")
 
 
-def _floats(values) -> list[str]:
-    """Floats as json writes them: the repr, or NaN, Infinity, -Infinity."""
-    if all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
-    return list(map(json.dumps, values))
-
-
-def _image(e: ImageEntry) -> str:
-    fields = []
-    if e.category is not None:
-        fields += [("category", _string(e.category)),
-                   ("category_score", json.dumps(e.category_score))]
-    fields += [("image_id", _string(e.image_id)),
-               ("mixture", _layout(_floats(e.mixture), 3, "[]")),
-               ("topic", _string(e.topic_name))]
-    return _object(fields, 2)
+def _images(collection: OrganizedCollection) -> list[str]:
+    """The encoded entries of the "images" list, in image-id order."""
+    mixtures = collection.mixtures
+    n_topics = mixtures.shape[1]
+    # json writes a finite float as its repr, others as NaN or +-Infinity
+    floats = list(map(float.__repr__ if np.isfinite(mixtures).all()
+                      else json.dumps, mixtures.ravel().tolist()))
+    rows = [_MIXTURE_SEPARATOR.join(floats[i:i + n_topics])
+            for i in range(0, len(floats), n_topics)]
+    topics = {t: _string(t) for t in set(collection.topics)}
+    categories = collection.categories or repeat(None)
+    return [
+        _IMAGE % (_string(image_id), row, topics[topic]) if category is None
+        else _CATEGORIZED_IMAGE % (_string(category[0]), json.dumps(category[1]),
+                                   _string(image_id), row, topics[topic])
+        for image_id, row, topic, category in zip(
+            collection.image_ids, rows, collection.topics, categories)]
 
 
 def emit_manifest(collection: OrganizedCollection, sink) -> int:
@@ -231,12 +245,11 @@ def emit_manifest(collection: OrganizedCollection, sink) -> int:
                          for bucket, ids in sorted(buckets.items())], 2))
         for topic, buckets in sorted(collection.index.items())
     ]
-    images = sorted(collection.entries, key=lambda e: e.image_id)
     text = _object([
         ("collection_id", _string(collection.collection_id)),
         ("coverage", json.dumps(collection.coverage)),
         ("format_version", json.dumps(MANIFEST_FORMAT_VERSION)),
-        ("images", _layout(list(map(_image, images)), 1, "[]")),
+        ("images", _layout(_images(collection), 1, "[]")),
         ("index", _object(index, 1)),
         ("model_hash", _string(collection.model_hash)),
     ], 0)
@@ -250,7 +263,7 @@ def emit_manifest(collection: OrganizedCollection, sink) -> int:
 
 def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
                timeout: float = 10.0
-               ) -> tuple[list[TagRecord], list[tuple[str, str]]]:
+               ) -> tuple[TagTable, list[tuple[str, str]]]:
     """Fetch tag records from an auto-tagging HTTP endpoint.
 
     GETs ``{endpoint}/{image_id}`` per id and expects a tag-record JSON
@@ -262,7 +275,7 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     if not image_ids:
         raise ValidationError("image id list must be non-empty")
     headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-    records = []
+    records = TagTableBuilder()
     failures = []
     base = endpoint.rstrip("/")
     for image_id in image_ids:
@@ -278,8 +291,7 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
             failures.append((image_id, f"HTTP {resp.status_code}"))
             continue
         try:
-            records.append(tag_record_from_dict(
-                {"image_id": image_id, "collection_id": "", **resp.json()}))
+            records.add({"image_id": image_id, "collection_id": "", **resp.json()})
         except (ValueError, TypeError, ValidationError) as exc:
             failures.append((image_id, f"bad response: {exc}"))
-    return records, failures
+    return records.build(), failures

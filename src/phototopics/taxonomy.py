@@ -76,11 +76,15 @@ def read_tsv(stream, what: str, n_fields: int):
 
 
 def _read_values(stream, what: str, parents) -> dict[str, float]:
-    """``synset<TAB>value`` lines; each value a finite number >= 0."""
+    """``synset<TAB>value`` lines, one per synset; each value a finite
+    number >= 0."""
     values = {}
     for lineno, (synset, text) in read_tsv(stream, what, 2):
         if synset not in parents:
             raise ValidationError(f"{what} entry references unknown synset {synset!r}")
+        if synset in values:
+            raise ValidationError(
+                f"malformed {what} line {lineno}: synset {synset!r} is listed twice")
         try:
             value = float(text)
         except ValueError:

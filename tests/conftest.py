@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 
-from phototopics.corpus import CooccurrenceMatrix, Vocabulary
+from phototopics.corpus import CooccurrenceMatrix, Vocabulary, parse_tag_records
 from phototopics.plsa import fold_in
 from phototopics.taxonomy import load_taxonomy
 
@@ -126,3 +126,9 @@ def tag_record_line(image_id, collection_id, tags):
         "collection_id": collection_id,
         "tags": [{"tag": t, "confidence": c} for t, c in tags],
     })
+
+
+def tag_table(records):
+    """The ``TagTable`` of (image_id, collection_id, [(tag, confidence)])
+    triples, parsed from their JSON lines."""
+    return parse_tag_records([tag_record_line(*rec) for rec in records])

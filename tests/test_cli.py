@@ -107,6 +107,70 @@ def test_full_cli_chain(tmp_path, collection_file, capsys):
     assert by_id["img000"]["category"] == "paella"
 
 
+def test_organize_manifest_is_json_dumps_of_its_payload(tmp_path, collection_file,
+                                                       trained):
+    """With names and category scores, ``organize`` writes the bytes
+    ``json.dumps(payload, sort_keys=True, indent=2)`` writes for the
+    payload rebuilt from ``fold-in``'s mixtures; an image id that needs
+    escaping and images below the threshold included."""
+    vocab_path, model_path = trained
+    names_path = tmp_path / "names.json"
+    names_path.write_text(json.dumps([
+        {"topic": 1, "name": "Pets and Animals", "scores": [0.0, 1.0],
+         "duplicate": False},
+        {"topic": 0, "name": "Food and Drinks", "scores": [1.0, 0.0],
+         "duplicate": False}]))
+    scores = {(f"img{i:03d}", topic): (category, score)
+              for i, topic, category, score in [
+                  (0, "Food and Drinks", "paella", 0.8),
+                  (0, "Pets and Animals", "hare", 0.9),
+                  (1, "Pets and Animals", "hare", 0.25),
+                  (1, "Food and Drinks", "paella", 0.5),
+                  (2, "Pets and Animals", "hare", 1.0),
+                  (2, "Food and Drinks", "paella", 0.0),
+                  (3, "Food and Drinks", "paella", 0.5)]}
+    scores_path = tmp_path / "scores.jsonl"
+    scores_path.write_text("".join(
+        json.dumps({"image_id": i, "topic": t, "category": c, "score": x}) + "\n"
+        for (i, t), (c, x) in scores.items()))
+    records_path = tmp_path / "album.jsonl"  # two images without known tags
+    records_path.write_text(collection_file.read_text() + "".join(
+        tag_record_line(i, "u9", tags) + "\n"
+        for i, tags in [("img500", [("unknown", 0.5)]), ("\u00e9\"x", [])]))
+    fold_path = tmp_path / "mixtures.jsonl"
+    assert main(["fold-in", str(model_path), str(vocab_path),
+                 str(records_path), "-o", str(fold_path)]) == 0
+    manifest_path = tmp_path / "manifest.json"
+    assert main(["organize", str(records_path), str(model_path),
+                 str(vocab_path), "-o", str(manifest_path), "--threshold", "0.9",
+                 "--names-result", str(names_path),
+                 "--scores", str(scores_path)]) == 0
+
+    labels = ["Food and Drinks", "Pets and Animals"]
+    images, index = [], {}
+    for entry in sorted(map(json.loads, fold_path.read_text().splitlines()),
+                        key=lambda e: e["image_id"]):
+        top = int(np.argmax(entry["mixture"]))
+        topic = labels[top] if entry["mixture"][top] >= 0.9 else "Null"
+        image = {"image_id": entry["image_id"], "mixture": entry["mixture"],
+                 "topic": topic}
+        category = scores.get((entry["image_id"], topic))
+        if category is not None:
+            image.update(category=category[0], category_score=category[1])
+        images.append(image)
+        index.setdefault(topic, {}).setdefault(
+            category[0] if category else "", []).append(entry["image_id"])
+    covered = sum(image["topic"] != "Null" for image in images)
+    payload = {"format_version": 1, "collection_id": "u0",
+               "model_hash": json.loads(model_path.read_text())["vocab_hash"],
+               "coverage": covered / len(images), "images": images,
+               "index": index}
+    assert 0 < covered < len(images)
+    assert sum("category" in image for image in images) >= 3
+    assert manifest_path.read_bytes() == json.dumps(
+        payload, sort_keys=True, indent=2).encode()
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main(["build-vocab", str(tmp_path / "nope.jsonl"),
                  "-o", str(tmp_path / "v.txt")]) == 3
@@ -501,12 +565,14 @@ SWEEP_INPUTS = {
         "text": b"root\tabc\n", "inf": b"root\tinf\n", "nan": b"root\tnan\n",
         "negative": b"root\t-1\n", "three-fields": b"root\t1\t2\n",
         "unknown-synset": b"nope\t1\n",
+        "duplicate-synset": lambda valid: valid + b"food\t1.0\n",
     }),
     "counts": (["name-topics-counts"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,
         "text": b"food\tx1\n", "inf": b"food\tinf\n", "nan": b"food\tnan\n",
         "negative": b"food\t-1\n", "one-field": b"food\n",
         "all-zero": b"food\t0\n", "total-overflows": b"food\t1e308\nanimal\t1e308\n",
+        "duplicate-synset": lambda valid: valid + b"food\t3\n",
     }),
     "ref-corpus": (["coherence"], {
         "missing": MISSING, "not-utf8": NOT_UTF8, "empty": b"",

@@ -6,7 +6,7 @@ import pytest
 
 from phototopics.corpus import (
     CooccurrenceMatrix,
-    TagRecord,
+    TagTableBuilder,
     Vocabulary,
     build_cooccurrence,
     build_vocabulary,
@@ -15,23 +15,26 @@ from phototopics.corpus import (
 )
 from phototopics.exceptions import ValidationError
 
-from conftest import tag_record_line
+from conftest import tag_record_line, tag_table
 
 
 class TestParseTagRecords:
     def test_basic_line_lowercases(self):
         line = '{"image_id":"a","collection_id":"u1","tags":[{"tag":"Dog","confidence":0.9}]}'
         records = parse_tag_records([line])
-        assert records == [TagRecord("a", "u1", (("dog", 0.9),))]
+        assert len(records) == 1
+        assert records.image_ids == ["a"]
+        assert records.collection_id(0) == "u1"
+        assert records.record_tags(0) == [("dog", 0.9)]
 
     def test_empty_stream(self):
-        assert parse_tag_records([]) == []
-        assert parse_tag_records(io.StringIO("")) == []
+        assert len(parse_tag_records([])) == 0
+        assert len(parse_tag_records(io.StringIO(""))) == 0
 
     def test_duplicate_tags_merged_keeping_max(self):
         line = tag_record_line("a", "u", [("dog", 0.4), ("Dog", 0.9)])
         records = parse_tag_records([line])
-        assert records[0].tags == (("dog", 0.9),)
+        assert records.record_tags(0) == [("dog", 0.9)]
 
     def test_malformed_line_names_line_number(self):
         with pytest.raises(ValidationError, match="line 2"):
@@ -60,7 +63,8 @@ class TestParseTagRecords:
 
     def test_integer_confidence_accepted(self):
         line = '{"image_id":"a","collection_id":"u","tags":[{"tag":"x","confidence":1}]}'
-        assert parse_tag_records([line])[0].tags == (("x", 1.0),)
+        [(tag, conf)] = parse_tag_records([line]).record_tags(0)
+        assert (tag, conf) == ("x", 1.0) and type(conf) is float
 
     def test_confidence_out_of_range(self):
         line = '{"image_id":"a","collection_id":"u","tags":[{"tag":"x","confidence":1.5}]}'
@@ -84,7 +88,7 @@ class TestParseTagRecords:
 
     def test_bytes_input(self):
         line = tag_record_line("a", "u", [("dog", 0.5)]).encode()
-        assert parse_tag_records([line])[0].image_id == "a"
+        assert parse_tag_records([line]).image_ids == ["a"]
 
 
 def _line(**change):
@@ -176,23 +180,60 @@ def test_malformed_record_error_text(case):
 
 
 class TestTagRecord:
-    def test_empty_image_id_rejected(self):
-        with pytest.raises(ValidationError):
-            TagRecord("", "u", ())
+    """The per-record rules of ``TagTableBuilder.add``; a record that
+    breaks one adds nothing to the table."""
 
-    def test_duplicate_tag_rejected(self):
-        with pytest.raises(ValidationError):
-            TagRecord("a", "u", (("dog", 0.5), ("dog", 0.6)))
+    def test_empty_image_id_rejected(self):
+        builder = TagTableBuilder()
+        with pytest.raises(ValidationError, match="image_id must be non-empty"):
+            builder.add({"image_id": "", "collection_id": "u", "tags": []})
+        assert len(builder.build()) == 0
 
     @pytest.mark.parametrize("tag", ["", " ", "\t", "a\nb", "a\rb", "dog\n"])
     def test_tag_a_vocabulary_file_cannot_hold_rejected(self, tag):
+        builder = TagTableBuilder()
+        builder.add({"image_id": "a", "collection_id": "u",
+                     "tags": [{"tag": "dog", "confidence": 0.5}]})
         with pytest.raises(ValidationError, match="empty or blank"):
-            TagRecord("a", "u", (("cat", 0.5), (tag, 0.5)))
+            builder.add({"image_id": "b", "collection_id": "v",
+                         "tags": [{"tag": "cat", "confidence": 0.5},
+                                  {"tag": tag, "confidence": 0.5}]})
+        table = builder.build()
+        assert table.image_ids == ["a"]
+        assert table.collections == ["u"]
+        assert table.tags == ["dog"]
+        assert table.offsets.tolist() == [0, 1]
+
+
+    @pytest.mark.parametrize("bad", [
+        {"tag": "dog", "confidence": "0.5"}, {"tag": " ", "confidence": 0.5},
+        {"tag": "cow", "confidence": 1.5}, {"confidence": 0.5}])
+    def test_failed_record_adds_nothing(self, bad):
+        """Tags a failed record met first are not kept: a later record
+        interns them afresh, and a blank one is still checked."""
+        builder = TagTableBuilder()
+        builder.add({"image_id": "a", "collection_id": "u",
+                     "tags": [{"tag": "ant", "confidence": 0.5}]})
+        with pytest.raises(ValidationError):
+            builder.add({"image_id": "b", "collection_id": "v",
+                         "tags": [{"tag": "Cat", "confidence": 0.5},
+                                  {"tag": "ant", "confidence": 0.5}, bad]})
+        with pytest.raises(ValidationError, match="empty or blank"):
+            builder.add({"image_id": "c", "collection_id": "u",
+                         "tags": [{"tag": " ", "confidence": 0.5}]})
+        builder.add({"image_id": "d", "collection_id": "u",
+                     "tags": [{"tag": "dog", "confidence": 0.5},
+                              {"tag": "cat", "confidence": 0.25}]})
+        table = builder.build()
+        assert table.image_ids == ["a", "d"]
+        assert table.tags == ["ant", "dog", "cat"]
+        assert table.tag_ids.tolist() == [0, 1, 2]
+        assert table.record_tags(1) == [("dog", 0.5), ("cat", 0.25)]
 
 
 def _records(spec):
     """spec: list of (image_id, collection_id, [tags])."""
-    return [TagRecord(i, c, tuple((t, 0.5) for t in tags)) for i, c, tags in spec]
+    return tag_table([(i, c, [(t, 0.5) for t in tags]) for i, c, tags in spec])
 
 
 class TestBuildVocabulary:
@@ -218,15 +259,38 @@ class TestBuildVocabulary:
 
     def test_order_independent(self):
         spec = [(f"i{i}", f"u{i % 3}", ["zebra", "ant"]) for i in range(8)]
-        records = _records(spec)
-        v1 = build_vocabulary(records, 5, 2)
-        v2 = build_vocabulary(list(reversed(records)), 5, 2)
+        v1 = build_vocabulary(_records(spec), 5, 2)
+        v2 = build_vocabulary(_records(list(reversed(spec))), 5, 2)
         assert v1 == v2
         assert v1.words == ("ant", "zebra")
 
+    @pytest.mark.parametrize("min_count, min_collections",
+                             [(1, 1), (2, 2), (3, 1), (1, 3), (6, 4)])
+    def test_matches_counting_reference(self, min_count, min_collections):
+        """The numpy counts keep exactly the words a count over every
+        (record, tag) pair keeps; repeated tags in a record count once."""
+        rng = np.random.default_rng(5)
+        words = [f"w{i:02d}" for i in range(30)]
+        spec = []
+        for j in range(80):
+            tags = rng.choice(words[:int(rng.integers(1, 31))],
+                              size=int(rng.integers(0, 8)))  # with repeats
+            spec.append((f"img{j}", f"u{int(rng.integers(0, 6))}",
+                         [str(t) for t in tags]))
+        counts, collections = {}, {}
+        for _image_id, collection_id, tags in spec:
+            for tag in set(tags):
+                counts[tag] = counts.get(tag, 0) + 1
+                collections.setdefault(tag, set()).add(collection_id)
+        want = sorted(t for t, n in counts.items()
+                      if n > min_count and len(collections[t]) >= min_collections)
+        vocab = build_vocabulary(_records(spec), min_count, min_collections)
+        assert vocab.words == tuple(want)
+        assert 0 < len(want) < len(counts)
+
     def test_invalid_thresholds(self):
         with pytest.raises(ValidationError):
-            build_vocabulary([], min_count=0)
+            build_vocabulary(tag_table([]), min_count=0)
 
     def test_digest_depends_on_words(self):
         v1 = Vocabulary(("a", "b"))
@@ -251,29 +315,29 @@ class TestBuildVocabulary:
 class TestBuildCooccurrence:
     def test_binary_single_entry(self):
         vocab = Vocabulary(("dog",))
-        rec = TagRecord("a", "u", (("dog", 0.9),))
-        X = build_cooccurrence([rec], vocab, "binary")
+        rec = tag_table([("a", "u", [("dog", 0.9)])])
+        X = build_cooccurrence(rec, vocab, "binary")
         assert X.to_dense().tolist() == [[1.0]]
 
     def test_confidence_weighting(self):
         vocab = Vocabulary(("dog",))
-        rec = TagRecord("a", "u", (("dog", 0.9),))
-        X = build_cooccurrence([rec], vocab, "confidence")
+        rec = tag_table([("a", "u", [("dog", 0.9)])])
+        X = build_cooccurrence(rec, vocab, "confidence")
         assert X.to_dense().tolist() == [[0.9]]
 
     def test_out_of_vocab_doc_kept_as_empty_column(self):
         vocab = Vocabulary(("dog",))
-        rec = TagRecord("a", "u", (("giraffe", 0.9),))
-        X = build_cooccurrence([rec], vocab)
+        rec = tag_table([("a", "u", [("giraffe", 0.9)])])
+        X = build_cooccurrence(rec, vocab)
         assert X.n_docs == 1
         assert X.nnz == 0
 
     def test_binary_column_sums_count_in_vocab_tags(self):
         vocab = Vocabulary(("ant", "bee", "cat"))
-        recs = [
-            TagRecord("a", "u", (("ant", 0.1), ("bee", 0.2), ("zzz", 0.3))),
-            TagRecord("b", "u", (("cat", 0.9),)),
-        ]
+        recs = tag_table([
+            ("a", "u", [("ant", 0.1), ("bee", 0.2), ("zzz", 0.3)]),
+            ("b", "u", [("cat", 0.9)]),
+        ])
         X = build_cooccurrence(recs, vocab)
         sums = X.to_dense().sum(axis=0)
         assert sums.tolist() == [2.0, 1.0]
@@ -286,9 +350,16 @@ class TestBuildCooccurrence:
     def test_unknown_weighting_rejected(self):
         vocab = Vocabulary(("dog",))
         with pytest.raises(ValidationError):
-            vectorize_record(TagRecord("a", "u", ()), vocab, "tfidf")
+            vectorize_record(tag_table([("a", "u", [])]), vocab, "tfidf")
         with pytest.raises(ValidationError):
-            build_cooccurrence([], vocab, "tfidf")
+            build_cooccurrence(tag_table([]), vocab, "tfidf")
+
+    def test_vectorize_record_takes_one_record(self):
+        vocab = Vocabulary(("dog",))
+        for n in (0, 2):
+            with pytest.raises(ValidationError, match="one record"):
+                vectorize_record(tag_table([(f"i{j}", "u", []) for j in range(n)]),
+                                 vocab)
 
     @pytest.mark.parametrize("weighting", ["binary", "confidence"])
     def test_matches_per_record_reference(self, weighting):
@@ -308,10 +379,9 @@ class TestBuildCooccurrence:
                     pool = words
                 tags = rng.choice(pool, size=min(n_tags, len(pool)),
                                   replace=False)  # shuffled tag order
-                records.append(TagRecord(
-                    f"img{j}", "u",
-                    tuple((str(t), float(rng.random())) for t in tags)))
-            X = build_cooccurrence(records, vocab, weighting)
+                records.append((f"img{j}", "u",
+                                [(str(t), float(rng.random())) for t in tags]))
+            X = build_cooccurrence(tag_table(records), vocab, weighting)
             ref = reference_cooccurrence(records, vocab, weighting)
             assert X.n_docs == ref.n_docs
             assert X.n_words == ref.n_words
@@ -320,7 +390,7 @@ class TestBuildCooccurrence:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
             for j, rec in enumerate(records):
-                widx, wval = vectorize_record(rec, vocab, weighting)
+                widx, wval = vectorize_record(tag_table([rec]), vocab, weighting)
                 assert np.array_equal(widx, ref.rows[ref.cols == j])
                 assert np.array_equal(wval, ref.vals[ref.cols == j])
 
@@ -355,10 +425,12 @@ class TestCooccurrenceMatrix:
 
 
 def reference_cooccurrence(records, vocab, weighting):
-    """One entry per in-vocabulary tag, sorted by document, then word."""
+    """One entry per in-vocabulary tag of the (image_id, collection_id,
+    [(tag, confidence)]) triples, sorted by document, then word."""
     entries = sorted(
         (j, vocab.index[tag], 1.0 if weighting == "binary" else conf)
-        for j, rec in enumerate(records) for tag, conf in rec.tags
+        for j, (_image_id, _collection_id, tags) in enumerate(records)
+        for tag, conf in tags
         if tag in vocab.index)
     cols, rows, vals = zip(*entries) if entries else ((), (), ())
     return CooccurrenceMatrix(vocab.size, len(records),

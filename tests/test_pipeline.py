@@ -6,7 +6,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
-from phototopics.corpus import TagRecord, Vocabulary, vectorize_record
+from phototopics.cli import main
+from phototopics.corpus import Vocabulary, vectorize_record
 from phototopics.exceptions import TransportError, ValidationError
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import (
@@ -20,7 +21,7 @@ from phototopics.pipeline import (
 )
 from phototopics.plsa import PlsaModel, TrainConfig, train
 
-from conftest import fold_in_one, make_corpus, planted_corpus
+from conftest import fold_in_one, make_corpus, planted_corpus, tag_table
 
 
 def _toy_model_and_vocab():
@@ -92,45 +93,44 @@ class TestLoadCategoryScores:
 class TestOrganizeCollection:
     def test_category_gated_by_topic(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord("a", "u1", (("pizza", 0.9),))]
+        records = tag_table([("a", "u1", [("pizza", 0.9)])])
         scores = CategoryScores({"a": [("Food and Drinks", "paella", 0.8),
                                        ("Pets and Animals", "hare", 0.9)]})
         coll = organize_collection(records, model, vocab, names=_names(),
                                    scores=scores)
-        entry = coll.entries[0]
-        assert entry.topic_name == "Food and Drinks"
-        assert entry.category == "paella"
+        assert coll.topics[0] == "Food and Drinks"
+        assert coll.categories[0] == ("paella", 0.8)
 
     def test_without_scores_topics_only(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord("a", "u1", (("dog", 0.9),))]
+        records = tag_table([("a", "u1", [("dog", 0.9)])])
         coll = organize_collection(records, model, vocab, names=_names())
-        assert coll.entries[0].topic_name == "Pets and Animals"
-        assert coll.entries[0].category is None
+        assert coll.topics[0] == "Pets and Animals"
+        assert coll.categories is None
 
     def test_null_image_carries_no_category(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord("a", "u1", ())]  # empty doc -> uniform mixture
+        records = tag_table([("a", "u1", [])])  # empty doc -> uniform mixture
         scores = CategoryScores({"a": [("Food and Drinks", "paella", 0.8)]})
         coll = organize_collection(records, model, vocab, names=_names(),
                                    threshold=0.9, scores=scores)
-        assert coll.entries[0].topic_name == "Null"
-        assert coll.entries[0].category is None
+        assert coll.topics[0] == "Null"
+        assert coll.categories[0] is None
 
     def test_vocab_hash_mismatch_is_hard_error(self):
         model, _vocab = _toy_model_and_vocab()
         other = Vocabulary(("axolotl", "dog", "pizza"))
         with pytest.raises(ValidationError, match="vocabulary"):
-            organize_collection([TagRecord("a", "u", ())], model, other)
+            organize_collection(tag_table([("a", "u", [])]), model, other)
 
     def test_image_conservation_and_coverage(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord(f"img{i}", "u1", (("dog", 0.9),))
-                   for i in range(5)]
-        records.append(TagRecord("empty", "u1", ()))
+        records = tag_table([(f"img{i}", "u1", [("dog", 0.9)]) for i in range(5)]
+                            + [("empty", "u1", [])])
         coll = organize_collection(records, model, vocab, names=_names(),
                                    threshold=0.6)
-        assert len(coll.entries) == len(records)
+        assert len(coll.image_ids) == len(coll.topics) == len(records)
+        assert coll.mixtures.shape == (len(records), 2)
         assert coll.coverage == 5 / 6
 
     def test_topic_named_null_keeps_its_own_label(self):
@@ -139,12 +139,12 @@ class TestOrganizeCollection:
         threshold", and only those images are uncovered."""
         model, vocab = _toy_model_and_vocab()
         names = [_names()[0], TopicNaming(1, "Null", (0.0, 0.0), True)]
-        records = [TagRecord("a", "u1", (("dog", 0.9),)),
-                   TagRecord("b", "u1", (("beach", 0.9),)),
-                   TagRecord("c", "u1", ())]
+        records = tag_table([("a", "u1", [("dog", 0.9)]),
+                             ("b", "u1", [("beach", 0.9)]),
+                             ("c", "u1", [])])
         coll = organize_collection(records, model, vocab, names=names,
                                    threshold=0.6)
-        assert [e.topic_name for e in coll.entries] == [
+        assert coll.topics == [
             "Topic 1", "Food and Drinks", "Null"]
         assert coll.index == {"Topic 1": {"": ["a"]},
                               "Food and Drinks": {"": ["b"]},
@@ -153,8 +153,8 @@ class TestOrganizeCollection:
 
     def test_duplicate_image_id_rejected(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord(i, "u1", (("dog", 0.9),))
-                   for i in ("b", "a", "c", "a", "b")]
+        records = tag_table([(i, "u1", [("dog", 0.9)])
+                             for i in ("b", "a", "c", "a", "b")])
         with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
             organize_collection(records, model, vocab)
 
@@ -174,17 +174,17 @@ class TestFoldInRecords:
             words = rng.choice(vocab.words + ("yak", "zebra"),
                                size=int(rng.integers(0, 12)), replace=False)
             confs = np.zeros(len(words)) if j % 4 == 0 else rng.random(len(words))
-            records.append(TagRecord(f"img{j}", "u", tuple(
-                (str(w), float(c)) for w, c in zip(words, confs))))
-        records += [TagRecord("oov", "u", (("zebra", 0.5),)),
-                    TagRecord("no-tags", "u", ())]
-        got = fold_in_records(records, model, vocab, weighting)
+            records.append((f"img{j}", "u",
+                            [(str(w), float(c)) for w, c in zip(words, confs)]))
+        records += [("oov", "u", [("zebra", 0.5)]), ("no-tags", "u", [])]
+        got = fold_in_records(tag_table(records), model, vocab, weighting)
         assert got.shape == (len(records), 3)
         for rec, row in zip(records, got):
-            alone = fold_in_one(model, *vectorize_record(rec, vocab, weighting))
-            assert np.array_equal(row, alone), rec.image_id
+            alone = fold_in_one(model, *vectorize_record(tag_table([rec]), vocab,
+                                                         weighting))
+            assert np.array_equal(row, alone), rec[0]
         uniform = [not any(t in vocab.index and (c > 0 or weighting == "binary")
-                           for t, c in rec.tags) for rec in records]
+                           for t, c in tags) for _i, _c, tags in records]
         assert sum(uniform) > 2
         assert np.all(got[uniform] == 1 / 3)
         assert not np.any(got[np.logical_not(uniform)] == 1 / 3)
@@ -193,8 +193,8 @@ class TestFoldInRecords:
 class TestEmitManifest:
     def test_deterministic_bytes(self):
         model, vocab = _toy_model_and_vocab()
-        records = [TagRecord("b", "u1", (("dog", 0.9),)),
-                   TagRecord("a", "u1", (("pizza", 0.5),))]
+        records = tag_table([("b", "u1", [("dog", 0.9)]),
+                             ("a", "u1", [("pizza", 0.5)])])
         coll = organize_collection(records, model, vocab, names=_names())
         s1, s2 = io.BytesIO(), io.BytesIO()
         emit_manifest(coll, s1)
@@ -203,7 +203,7 @@ class TestEmitManifest:
 
     def test_empty_collection_valid_json(self):
         model, vocab = _toy_model_and_vocab()
-        coll = organize_collection([], model, vocab, names=_names())
+        coll = organize_collection(tag_table([]), model, vocab, names=_names())
         sink = io.BytesIO()
         n = emit_manifest(coll, sink)
         payload = json.loads(sink.getvalue())
@@ -212,7 +212,7 @@ class TestEmitManifest:
 
     def test_null_image_listed_under_null(self):
         model, vocab = _toy_model_and_vocab()
-        coll = organize_collection([TagRecord("a", "u1", ())], model, vocab,
+        coll = organize_collection(tag_table([("a", "u1", [])]), model, vocab,
                                    names=_names(), threshold=0.9)
         sink = io.BytesIO()
         emit_manifest(coll, sink)
@@ -266,19 +266,32 @@ class TestFetchTags:
     def test_fixed_tags_returned(self, stub_server):
         records, failures = fetch_tags(stub_server, ["a"])
         assert failures == []
-        assert records[0].image_id == "a"
-        assert records[0].tags == (("dog", 0.9),)
+        assert records.image_ids == ["a"]
+        assert records.record_tags(0) == [("dog", 0.9)]
 
     def test_partial_failure(self, stub_server):
         records, failures = fetch_tags(stub_server, ["a", "boom", "b"])
-        assert [r.image_id for r in records] == ["a", "b"]
+        assert records.image_ids == ["a", "b"]
         assert failures == [("boom", "HTTP 500")]
 
     def test_record_defaults_merge_and_bad_response(self, stub_server):
         records, failures = fetch_tags(stub_server, ["bare", "bad"])
-        assert records == [TagRecord("bare", "", (("dog", 0.6),))]
+        assert records.image_ids == ["bare"]
+        assert records.collection_id(0) == ""
+        assert records.record_tags(0) == [("dog", 0.6)]
         assert [image_id for image_id, _ in failures] == ["bad"]
         assert failures[0][1].startswith("bad response")
+
+    def test_cli_writes_one_line_per_record(self, stub_server, tmp_path, capsys):
+        out = tmp_path / "records.jsonl"
+        assert main(["fetch-tags", "a", "boom", "bare", "bad",
+                     "--endpoint", stub_server, "-o", str(out)]) == 0
+        assert out.read_text() == (
+            '{"collection_id": "u1", "image_id": "a", '
+            '"tags": [{"confidence": 0.9, "tag": "dog"}]}\n'
+            '{"collection_id": "", "image_id": "bare", '
+            '"tags": [{"confidence": 0.6, "tag": "dog"}]}\n')
+        assert "fetched 2 records, 2 failures" in capsys.readouterr().out
 
     def test_empty_ids_rejected(self, stub_server):
         with pytest.raises(ValidationError):

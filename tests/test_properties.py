@@ -16,11 +16,10 @@ from phototopics.coherence import (
     uci_score,
     umass_score,
 )
-from phototopics.corpus import CooccurrenceMatrix, TagRecord, Vocabulary
+from phototopics.corpus import CooccurrenceMatrix, Vocabulary
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import (
     MANIFEST_FORMAT_VERSION,
-    ImageEntry,
     OrganizedCollection,
     _build_index,
     emit_manifest,
@@ -29,7 +28,7 @@ from phototopics.pipeline import (
 )
 from phototopics.plsa import PlsaModel, em_step, fold_in, init_model
 
-from conftest import make_corpus
+from conftest import make_corpus, tag_table
 
 FAST = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -80,13 +79,12 @@ tags = st.lists(
        weighting=st.sampled_from(["binary", "confidence"]))
 def test_manifest_independent_of_record_order(docs, data, names, threshold,
                                               weighting):
-    records = [TagRecord(f"img{i:02d}", coll, tuple(t))
-               for i, (coll, t) in enumerate(docs)]
+    records = [(f"img{i:02d}", coll, t) for i, (coll, t) in enumerate(docs)]
     shuffled = data.draw(st.permutations(records))
 
     def manifest(recs):
         sink = io.BytesIO()
-        emit_manifest(organize_collection(recs, MODEL, VOCAB, names=names,
+        emit_manifest(organize_collection(tag_table(recs), MODEL, VOCAB, names=names,
                                           threshold=threshold,
                                           weighting=weighting), sink)
         return sink.getvalue()
@@ -103,13 +101,16 @@ def json_dumps_manifest(collection):
         "coverage": collection.coverage,
         "images": [
             {
-                "image_id": e.image_id,
-                "topic": e.topic_name,
-                "mixture": list(e.mixture),
-                **({"category": e.category, "category_score": e.category_score}
-                   if e.category is not None else {}),
+                "image_id": image_id,
+                "topic": topic,
+                "mixture": mixture,
+                **({"category": category[0], "category_score": category[1]}
+                   if category is not None else {}),
             }
-            for e in sorted(collection.entries, key=lambda e: e.image_id)
+            for image_id, topic, mixture, category in zip(
+                collection.image_ids, collection.topics,
+                collection.mixtures.tolist(),
+                collection.categories or [None] * len(collection.image_ids))
         ],
         "index": collection.index,
     }
@@ -125,21 +126,24 @@ texts = st.one_of(
 
 @st.composite
 def collections(draw):
-    """Entries with and without a category, Null entries, several buckets
-    per topic, non-finite numbers; the index is built as ``organize``
-    builds it."""
+    """Images with and without a category, or without category scores at
+    all, Null images, several buckets per topic, non-finite numbers; the
+    index is built as ``organize`` builds it."""
     topic_names = draw(st.lists(texts, min_size=1, max_size=3)) + ["Null"]
-    entries = []
-    for image_id in draw(st.lists(texts.filter(bool), max_size=8, unique=True)):
-        entry = ImageEntry(image_id, draw(st.sampled_from(topic_names)),
-                           tuple(draw(st.lists(st.floats(), min_size=1,
-                                               max_size=4))))
-        if draw(st.booleans()):
-            entry.category = draw(st.sampled_from(["", "beach", "a\"b"]) | texts)
-            entry.category_score = draw(st.floats())
-        entries.append(entry)
-    return OrganizedCollection(draw(texts), draw(texts), entries,
-                               draw(st.floats()), _build_index(entries))
+    image_ids = sorted(draw(st.lists(texts.filter(bool), max_size=8, unique=True)))
+    topics = [draw(st.sampled_from(topic_names)) for _ in image_ids]
+    mixtures = draw(hnp.arrays(np.float64, (len(image_ids), draw(st.integers(1, 4))),
+                               elements=st.floats()))
+    categories = None
+    if draw(st.booleans()):
+        categories = [
+            (draw(st.sampled_from(["", "beach", "a\"b"]) | texts), draw(st.floats()))
+            if draw(st.booleans()) else None
+            for _ in image_ids]
+    return OrganizedCollection(draw(texts), draw(texts), image_ids, topics,
+                               mixtures, draw(st.floats()),
+                               _build_index(image_ids, topics, categories),
+                               categories)
 
 
 @FAST
@@ -204,14 +208,13 @@ def test_fold_in_equivariant_under_topic_permutation(case, data):
        weighting=st.sampled_from(["binary", "confidence"]))
 def test_fold_in_independent_of_record_order(docs, data, weighting):
     """Each record gets the same mixture, bit for bit, wherever it stands."""
-    records = [TagRecord(f"img{i:02d}", "u", tuple(t))
-               for i, t in enumerate(docs)]
+    records = [(f"img{i:02d}", "u", t) for i, t in enumerate(docs)]
     shuffled = data.draw(st.permutations(records))
-    by_id = dict(zip([r.image_id for r in records],
-                     fold_in_records(records, MODEL, VOCAB, weighting)))
-    for rec, row in zip(shuffled,
-                        fold_in_records(shuffled, MODEL, VOCAB, weighting)):
-        assert np.array_equal(row, by_id[rec.image_id])
+    by_id = dict(zip([r[0] for r in records],
+                     fold_in_records(tag_table(records), MODEL, VOCAB, weighting)))
+    for rec, row in zip(shuffled, fold_in_records(tag_table(shuffled), MODEL,
+                                                  VOCAB, weighting)):
+        assert np.array_equal(row, by_id[rec[0]])
 
 
 ALPHABET = [f"w{i}" for i in range(8)]

@@ -79,6 +79,12 @@ class TestLoadTaxonomy:
         with pytest.raises(ValidationError, match=f"malformed {kind} line 3"):
             _load("root\t\na\troot\n", **{kind: f"root\t1\n# note\na\t{value}\n"})
 
+    @pytest.mark.parametrize("kind", ["ic", "counts"])
+    def test_duplicate_value_rejected_naming_the_line(self, kind):
+        with pytest.raises(ValidationError,
+                           match=f"malformed {kind} line 3: synset 'a' is listed twice"):
+            _load("root\t\na\troot\n", **{kind: "a\t1\nroot\t1\na\t5\n"})
+
     def test_missing_ic_warns_and_zeroes(self):
         with pytest.warns(RuntimeWarning):
             g = _load("root\t\n")

@@ -35,3 +35,44 @@ def test_every_traced_name_resolves():
     assert traced
     missing = [f"{m}.{q}" for m, q, _kind in traced if not _resolves(m, q)]
     assert missing == []
+
+
+def test_album_calls_reach_the_traced_layers(tmp_path):
+    """The benchmark's organize-albums operation, call for call, under its
+    tracer: the parse returns something with a length, organize builds
+    the co-occurrence matrix and folds it in, and emit returns the byte
+    count. A rewrite that bypassed a traced function would read 0 there."""
+    import io
+
+    import numpy as np
+
+    import phototopics as pt
+    from conftest import tag_record_line
+
+    vocab = pt.Vocabulary(("beach", "dog"))
+    model = pt.PlsaModel(np.array([[0.9, 0.1], [0.2, 0.8]]), np.zeros((0, 2)),
+                         np.array([0.5, 0.5]), seed=0, vocab_hash=vocab.digest())
+    album = tmp_path / "album.jsonl"
+    album.write_text("".join(
+        tag_record_line(i, "u", tags) + "\n"
+        for i, tags in [("b", [("dog", 0.9)]), ("a", [("beach", 0.4)]),
+                        ("c", [("yak", 0.5), ("dog", 1.0)])]))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        with open(album, encoding="utf-8") as f:
+            records = pt.parse_tag_records(f)
+        n_records = len(records)
+        collection = pt.organize_collection(records, model, vocab)
+        sink = io.BytesIO()
+        n_bytes = pt.emit_manifest(collection, sink)
+    finally:
+        tracer.uninstall()
+    assert n_records == 3
+    assert n_bytes == len(sink.getvalue()) > 0
+    assert tracer.results["corpus.parse_tag_records"] == [3]
+    assert tracer.results["corpus.build_cooccurrence"] == [3]  # nnz
+    assert tracer.results["pipeline.emit_manifest"] == [n_bytes]
+    for name in ("pipeline.organize_collection", "corpus.build_cooccurrence",
+                 "plsa.fold_in"):
+        assert len(tracer.durations(name)) == 1, name
