@@ -3,6 +3,7 @@
 import io
 import json
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from phototopics import coherence
 from phototopics.coherence import (
     avg_npmi,
     build_corpus_stats,
@@ -17,6 +19,7 @@ from phototopics.coherence import (
     umass_score,
 )
 from phototopics.corpus import CooccurrenceMatrix, Vocabulary
+from phototopics.exceptions import ValidationError
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import (
     MANIFEST_FORMAT_VERSION,
@@ -236,3 +239,46 @@ def test_coherence_independent_of_extra_counted_words(docs, words, extra):
         warnings.simplefilter("ignore", RuntimeWarning)  # absent words
         for score in (uci_score, umass_score, avg_npmi):
             assert score(words, superset) == score(words, scored)
+
+
+TOKENS = ["w0", "W0", "w1", "w2", "W2", "w3", "noise"]
+lines = st.lists(
+    st.just("") | st.lists(st.sampled_from(TOKENS), max_size=6).flatmap(
+        lambda toks: st.lists(st.sampled_from([" ", "  ", "\t", " \t "]),
+                              min_size=len(toks) + 1, max_size=len(toks) + 1)
+        .map(lambda seps: seps[0] + "".join(t + s for t, s in
+                                            zip(toks, seps[1:])))),
+    min_size=1, max_size=12)
+
+
+def recount(stream, vocab_filter):
+    """Document and pair frequencies by brute-force set recount."""
+    docs = [set(line.lower().split()) for line in stream if line.split()]
+    df = {w: n for w in vocab_filter if (n := sum(w in d for d in docs))}
+    joint = {(a, b): n for a, b in combinations(sorted(vocab_filter), 2)
+             if (n := sum(a in d and b in d for d in docs))}
+    return len(docs), df, joint
+
+
+@pytest.mark.parametrize("chunk_docs", [1, 2, 3, None])
+@FAST
+@given(stream=lines,
+       vocab_filter=st.sets(st.sampled_from(TOKENS + ["Never", "absent"])))
+def test_corpus_stats_match_set_recount(chunk_docs, stream, vocab_filter):
+    """Blank and whitespace-only lines, tabs, repeats, mixed case, filter
+    words that never occur and an empty filter all count as a recount does,
+    wherever a chunk boundary falls."""
+    n_docs, df, joint = recount(stream, vocab_filter)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_docs is not None:
+            mp.setattr(coherence, "_CHUNK_DOCS", chunk_docs, raising=False)
+        if n_docs == 0:
+            with pytest.raises(ValidationError, match="empty"):
+                build_corpus_stats(stream, vocab_filter)
+            return
+        stats = build_corpus_stats(stream, vocab_filter)
+    assert stats.n_docs == n_docs
+    assert stats.df == df
+    assert stats.joint_df == joint
+    assert all(type(n) is int for n in [*stats.df.values(),
+                                        *stats.joint_df.values()])
