@@ -10,12 +10,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+
+import numpy as np
 
 from .exceptions import ValidationError
 
 DEFAULT_TOP_N = 10
 DEFAULT_EPSILON = 1e-12
+# documents per incidence matrix in build_corpus_stats
+_CHUNK_DOCS = 1024
 
 
 @dataclass(frozen=True)
@@ -64,24 +68,54 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
     token is ignored. A word counts once per document regardless of
     repetitions. Every non-blank line is a document, whether or not it
     holds a counted word.
+
+    The stream is read line by line, and the hit sets of at most
+    ``_CHUNK_DOCS`` documents are kept at a time. Each chunk becomes one
+    document x word 0/1 incidence matrix ``B``, and ``B.T @ B`` adds its
+    pair counts. For S scored words the memory held is one float32 chunk
+    of ``_CHUNK_DOCS`` x S plus S x S int64 counts: about 0.7 and 0.24 MB
+    at S = 174. Every entry of a chunk's product is an integer no larger
+    than ``_CHUNK_DOCS``, which float32 holds exactly.
     """
+    words = sorted(vocab_filter)
+    word_id = {w: i for i, w in enumerate(words)}
+    df = np.zeros(len(words), dtype=np.int64)
+    joint = np.zeros((len(words), len(words)), dtype=np.int64)
     n_docs = 0
-    df: dict[str, int] = {}
-    joint: dict[tuple[str, str], int] = {}
+    chunk: list[set[str]] = []
     for line in stream:
         tokens = line.lower().split()
         if not tokens:
             continue
         n_docs += 1
-        unique = sorted(vocab_filter.intersection(tokens))
-        for w in unique:
-            df[w] = df.get(w, 0) + 1
-        for a, b in combinations(unique, 2):
-            key = (a, b)
-            joint[key] = joint.get(key, 0) + 1
+        chunk.append(vocab_filter.intersection(tokens))
+        if len(chunk) == _CHUNK_DOCS:
+            _count_chunk(chunk, word_id, df, joint)
+            chunk = []
+    _count_chunk(chunk, word_id, df, joint)
     if n_docs == 0:
         raise ValidationError("reference corpus is empty")
-    return CorpusStats(n_docs=n_docs, df=df, joint_df=joint)
+    rows, cols = np.nonzero(np.triu(joint, 1))
+    return CorpusStats(
+        n_docs=n_docs,
+        df={words[i]: n for i, n in zip(np.flatnonzero(df).tolist(),
+                                        df[df > 0].tolist())},
+        joint_df={(words[i], words[j]): n for i, j, n in zip(
+            rows.tolist(), cols.tolist(), joint[rows, cols].tolist())})
+
+
+def _count_chunk(chunk: list[set[str]], word_id: dict[str, int],
+                 df: np.ndarray, joint: np.ndarray) -> None:
+    """Add the document and pair frequencies of one chunk of hit sets."""
+    lengths = [len(hits) for hits in chunk]
+    ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(chunk)),
+                      dtype=np.intp, count=sum(lengths))
+    if not ids.size:
+        return
+    incidence = np.zeros((len(chunk), len(df)), dtype=np.float32)
+    incidence[np.repeat(np.arange(len(chunk)), lengths), ids] = 1.0
+    df += np.bincount(ids, minlength=len(df))
+    joint += (incidence.T @ incidence).astype(np.int64)
 
 
 def uci_score(words: list[str], stats: CorpusStats,
@@ -101,24 +135,28 @@ def umass_score(words: list[str], stats: CorpusStats,
 
     The list is re-sorted by descending document frequency (ties broken
     lexicographically) so permuting the input cannot change the score.
-    A conditioning word with zero frequency contributes log(eps/eps) = 0
-    for its pairs and is flagged with a warning.
+    A conditioning word with zero frequency floors its pairs with eps;
+    one warning per call counts the floored pairs and names those words.
     """
     cfg = cfg or CoherenceConfig()
     n_pairs = _pair_count(words)
     eps = cfg.epsilon
     ordered = sorted(words, key=lambda w: (-stats.df.get(w, 0), w))
     total = 0.0
+    floored: dict[str, int] = {}  # absent conditioning word -> its pairs
     for j in range(1, len(ordered)):
         for i in range(j):
             wi, wj = ordered[i], ordered[j]
             p_i = stats.p_word(wi)
             if p_i <= 0.0:
-                warnings.warn(
-                    f"conditioning word {wi!r} absent from reference corpus; "
-                    "pair floored with epsilon", RuntimeWarning, stacklevel=2)
+                floored[str(wi)] = floored.get(str(wi), 0) + 1
                 p_i = eps
             total += math.log((stats.p_joint(wj, wi) + eps) / p_i)
+    if floored:
+        warnings.warn(
+            f"{sum(floored.values())} pair(s) floored with epsilon: conditioning "
+            f"word(s) {', '.join(map(repr, floored))} absent from reference corpus",
+            RuntimeWarning, stacklevel=2)
     return total / n_pairs
 
 

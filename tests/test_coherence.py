@@ -139,9 +139,22 @@ class TestUmassScore:
 
     def test_absent_conditioning_word_warns(self):
         stats = build_corpus_stats(["a b"], vocab_filter={"yy", "zz"})
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning) as caught:
             # both absent, so the conditioning word has zero frequency
             assert umass_score(["yy", "zz"], stats) == pytest.approx(0.0)
+        assert [str(w.message) for w in caught] == [
+            "1 pair(s) floored with epsilon: conditioning word(s) 'yy' "
+            "absent from reference corpus"]
+
+    def test_one_warning_per_call_names_plain_strings(self):
+        stats = build_corpus_stats(["a b", "a"], vocab_filter={"a", "b"})
+        words = [np.str_(w) for w in ("t7", "a", "t5", "b", "t6")]
+        with pytest.warns(RuntimeWarning) as caught:
+            umass_score(words, stats)
+        # ordered a, b, t5, t6, t7: t5 conditions t6 and t7, t6 conditions t7
+        assert [str(w.message) for w in caught] == [
+            "3 pair(s) floored with epsilon: conditioning word(s) 't5', 't6' "
+            "absent from reference corpus"]
 
 
 class TestAvgNpmi:

@@ -271,7 +271,7 @@ def test_corpus_stats_match_set_recount(chunk_docs, stream, vocab_filter):
     n_docs, df, joint = recount(stream, vocab_filter)
     with pytest.MonkeyPatch.context() as mp:
         if chunk_docs is not None:
-            mp.setattr(coherence, "_CHUNK_DOCS", chunk_docs, raising=False)
+            mp.setattr(coherence, "_CHUNK_DOCS", chunk_docs)
         if n_docs == 0:
             with pytest.raises(ValidationError, match="empty"):
                 build_corpus_stats(stream, vocab_filter)
