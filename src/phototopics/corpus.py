@@ -164,6 +164,7 @@ class Vocabulary:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     # rank[i] is the place of words[i] in lexicographic (str) order
     rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _digest: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bad = next((w for w in self.words if not _is_word(w)), None)
@@ -178,14 +179,18 @@ class Vocabulary:
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "_digest", hashlib.sha256(
+            "\n".join(self.words).encode("utf-8")).hexdigest())
 
     @property
     def size(self) -> int:
         return len(self.words)
 
     def digest(self) -> str:
-        """SHA-256 over the ordered word list; binds models to a vocabulary."""
-        return hashlib.sha256("\n".join(self.words).encode("utf-8")).hexdigest()
+        """SHA-256 over the ordered word list; binds models to a vocabulary.
+
+        Computed once, when the vocabulary is built."""
+        return self._digest
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

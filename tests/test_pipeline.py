@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import threading
@@ -6,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 
+from phototopics import corpus
 from phototopics.cli import main
 from phototopics.corpus import Vocabulary, vectorize_record
 from phototopics.exceptions import TransportError, ValidationError
@@ -19,7 +21,7 @@ from phototopics.pipeline import (
     load_category_scores,
     organize_collection,
 )
-from phototopics.plsa import PlsaModel, TrainConfig, train
+from phototopics.plsa import PlsaModel, TrainConfig, top_words, train
 
 from conftest import fold_in_one, make_corpus, planted_corpus, tag_table
 
@@ -36,6 +38,27 @@ def _toy_model_and_vocab():
 def _names():
     return [TopicNaming(0, "Food and Drinks", (1.0, 0.0), False),
             TopicNaming(1, "Pets and Animals", (0.0, 1.0), False)]
+
+
+def test_vocabulary_hashed_once_when_built(monkeypatch):
+    """Organizing albums and listing top words reuse the digest taken when
+    the vocabulary was built; nothing is hashed per call."""
+    model, vocab = _toy_model_and_vocab()
+    calls = []
+    real = corpus.hashlib.sha256
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corpus.hashlib, "sha256", spy)
+    for album in ([("a1", "u", [("beach", 1.0)])],
+                  [("b1", "v", [("dog", 1.0)]), ("b2", "v", [("pizza", 1.0)])]):
+        organize_collection(tag_table(album), model, vocab, _names())
+    for topic in range(model.n_topics):
+        top_words(model, vocab, topic)
+    assert calls == []
+    assert vocab.digest() == hashlib.sha256(b"beach\ndog\npizza").hexdigest()
 
 
 class TestCategoryRegistry:
