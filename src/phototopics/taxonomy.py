@@ -41,20 +41,25 @@ class TaxonomyGraph:
         returned dict is shared by every caller and must not be modified.
         """
         dist = self._hops.get(synset)
-        if dist is not None:
-            return dist
+        if dist is None:
+            dist = self._hops[synset] = dict(self._walk_up(synset))
+        return dist
+
+    def _walk_up(self, synset: str):
+        """Yield ``(ancestor, hops)`` for the synset and each ancestor, in
+        breadth-first order, without keeping the result."""
         if synset not in self.parents:
             raise ValidationError(f"unknown synset {synset!r}")
         dist = {synset: 0}
         queue = deque([synset])
         while queue:
             s = queue.popleft()
+            hops = dist[s]
+            yield s, hops
             for p in self.parents[s]:
                 if p not in dist:
-                    dist[p] = dist[s] + 1
+                    dist[p] = hops + 1
                     queue.append(p)
-        self._hops[synset] = dist
-        return dist
 
 
 def read_tsv(stream, what: str, n_fields: int):
@@ -155,6 +160,7 @@ def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, floa
     descendant, counted once per synset regardless of how many paths lead
     up (DAG-aware). IC(s) = -log((cumulative + 1) / (total + |synsets|))
     with add-one smoothing; roots are then clamped to the minimum IC.
+    The ancestors are walked without filling the graph's hop-map memo.
     """
     if any(c < 0 for c in counts.values()):
         raise ValidationError("raw counts must be non-negative")
@@ -166,7 +172,7 @@ def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, floa
     for s, c in counts.items():
         if c == 0:
             continue
-        for a in graph.ancestors(s):
+        for a, _hops in graph._walk_up(s):
             cumulative[a] += c
     ic = {s: -math.log((cumulative[s] + 1.0) / (total + n)) for s in graph.parents}
     min_ic = min(ic.values())

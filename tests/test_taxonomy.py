@@ -292,3 +292,38 @@ def test_back_edge_rejected_naming_an_edge_on_a_cycle(seed, data):
     p, s = re.search(r"edge '(.+)' -> '(.+)'", str(exc.value)).groups()
     assert p in parents[s]
     assert s in _exhaustive_ancestors(SimpleNamespace(parents=parents), p)
+
+
+@PROPERTY
+@given(seed=seeds, data=st.data())
+def test_compute_ic_matches_a_recount_bit_for_bit(seed, data):
+    g = random_dag_graph(np.random.default_rng(seed), max_nodes=20)
+    synsets = sorted(g.parents)
+    order = data.draw(st.permutations(synsets))
+    counts = {s: data.draw(st.sampled_from([0.0, 1.0, 0.1, 3.7, 1e6]))
+              for s in order}
+    if not sum(counts.values()):
+        counts[order[0]] = 1.0
+    # each ancestor's count is added to in the order of ``counts``
+    cumulative = dict.fromkeys(synsets, 0.0)
+    for s, c in counts.items():
+        if c:
+            for a in _exhaustive_ancestors(g, s):
+                cumulative[a] += c
+    total, n = sum(counts.values()), len(synsets)
+    expected = {s: -math.log((cumulative[s] + 1.0) / (total + n)) for s in synsets}
+    for r in g.roots():
+        expected[r] = min(expected.values())
+    fresh = TaxonomyGraph(g.parents, g.lemma_index, {})
+    assert compute_ic(fresh, counts) == expected
+    assert fresh._hops == {}
+
+
+def test_ic_counts_load_keeps_no_more_hop_maps_than_ic():
+    rng = np.random.default_rng(11)
+    g = random_dag_graph(rng, max_nodes=60)
+    tax = "".join(f"{s}\t{','.join(ps)}\n" for s, ps in g.parents.items())
+    ic = "".join(f"{s}\t1\n" for s in g.parents)
+    with_ic = _load(tax, ic=ic)
+    with_counts = _load(tax, counts=ic)
+    assert len(with_counts._hops) <= len(with_ic._hops) < len(g.parents)
