@@ -71,8 +71,8 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
 
     The stream is read line by line, and the hit sets of at most
     ``_CHUNK_DOCS`` documents are kept at a time. Each chunk becomes one
-    document x word 0/1 incidence matrix ``B``, and ``B.T @ B`` adds its
-    pair counts. For S scored words the memory held is one float32 chunk
+    document x word 0/1 incidence matrix B, and B.T @ B adds its pair
+    counts. For S scored words the memory held is one float32 chunk
     of ``_CHUNK_DOCS`` x S plus S x S int64 counts: about 0.7 and 0.24 MB
     at S = 174. Every entry of a chunk's product is an integer no larger
     than ``_CHUNK_DOCS``, which float32 holds exactly.
@@ -95,11 +95,11 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
     _count_chunk(chunk, word_id, df, joint)
     if n_docs == 0:
         raise ValidationError("reference corpus is empty")
+    hit = np.flatnonzero(df)
     rows, cols = np.nonzero(np.triu(joint, 1))
     return CorpusStats(
         n_docs=n_docs,
-        df={words[i]: n for i, n in zip(np.flatnonzero(df).tolist(),
-                                        df[df > 0].tolist())},
+        df={words[i]: n for i, n in zip(hit.tolist(), df[hit].tolist())},
         joint_df={(words[i], words[j]): n for i, j, n in zip(
             rows.tolist(), cols.tolist(), joint[rows, cols].tolist())})
 
