@@ -17,32 +17,59 @@ _BLOCK_ELEMENTS = 1 << 18
 def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     """E-step posteriors accumulated into M-step sufficient statistics.
 
-    Returns (nwz, nzd, nz, ll) where ll is the log-likelihood of the
-    *input* parameters over the nonzero entries.
+    Entry ``i`` gives word ``rows[i]`` the weight ``vals[i]`` in document
+    ``cols[i]``; the entries must be sorted by document, as a
+    ``CooccurrenceMatrix`` keeps them. Returns (nwz, nzd, nz, ll) where
+    ll is the log-likelihood of the *input* parameters over the entries.
 
     The posterior is held topic-major, one contiguous row of length nnz
-    per topic, so each gather, the normalization and each ``bincount``
-    scatter runs over contiguous memory; ``bincount`` adds in input
-    order, as a per-entry loop would.
+    per topic, so the normalization and each ``bincount`` scatter run
+    over contiguous memory; ``bincount`` adds in input order, as a
+    per-entry loop would. ``nzd`` is filled topic-major too and returned
+    as the N x K transpose view of a (K, N) array, so an M-step that
+    keeps the mixtures in that layout hands them back without a copy.
     """
     n_topics, n_words = word_given_topic.shape
     n_docs = doc_mixtures.shape[0]
-    doc_topic = np.ascontiguousarray(doc_mixtures.T)
-    # (K, nnz) posterior q(z | w, d), normalized in place below
-    q = np.empty((n_topics, len(vals)))
-    for k in range(n_topics):
-        np.multiply(doc_topic[k].take(cols), word_given_topic[k].take(rows),
-                    out=q[k])
-    safe = np.maximum(q.sum(axis=0), _TINY)
-    ll = float(np.sum(vals * np.log(safe)))
+    q, safe = _posterior(rows, cols, word_given_topic, doc_mixtures)
+    ll = _log_likelihood(vals, safe)
     q *= vals / safe
     nwz = np.empty((n_topics, n_words))
-    nzd = np.empty((n_docs, n_topics))
+    nzd = np.empty((n_topics, n_docs))
     for k in range(n_topics):
         nwz[k] = np.bincount(rows, weights=q[k], minlength=n_words)
-        nzd[:, k] = np.bincount(cols, weights=q[k], minlength=n_docs)
+        nzd[k] = np.bincount(cols, weights=q[k], minlength=n_docs)
     nz = q.sum(axis=1)
-    return nwz, nzd, nz, ll
+    return nwz, nzd.T, nz, ll
+
+
+def em_log_likelihood(rows, cols, vals, word_given_topic, doc_mixtures):
+    """The ``ll`` of ``em_sufficient_stats`` for the same input, computed
+    the same way but without the scatters."""
+    return _log_likelihood(
+        vals, _posterior(rows, cols, word_given_topic, doc_mixtures)[1])
+
+
+def _posterior(rows, cols, word_given_topic, doc_mixtures):
+    """The unnormalized (K, nnz) posterior P(z|d) P(w|z) of entries sorted
+    by document, and each entry's normalizer, floored at ``_TINY``.
+
+    P(z|d) is gathered for all topics at once, by repeating each
+    document's column once per entry; on topic-major mixtures (the
+    transpose of a C-contiguous (K, N) array) nothing is copied first.
+    """
+    doc_topic = np.ascontiguousarray(doc_mixtures.T)
+    per_doc = np.bincount(cols, minlength=doc_topic.shape[1])
+    q = np.repeat(doc_topic, per_doc, axis=1)
+    for k in range(len(q)):
+        q[k] *= word_given_topic[k].take(rows)
+    safe = q.sum(axis=0)
+    np.maximum(safe, _TINY, out=safe)
+    return q, safe
+
+
+def _log_likelihood(vals, safe):
+    return float(np.sum(vals * np.log(safe)))
 
 
 def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,

@@ -201,7 +201,7 @@ def init_model(n_topics: int, n_words: int, seed: int,
     rng = np.random.default_rng(seed)
     word_given_topic = rng.random((n_topics, n_words)) + 1e-3
     word_given_topic /= word_given_topic.sum(axis=1, keepdims=True)
-    doc_mixtures = np.full((n_docs, n_topics), 1.0 / n_topics)
+    doc_mixtures = np.full((n_topics, n_docs), 1.0 / n_topics).T  # topic-major
     topic_prior = np.full(n_topics, 1.0 / n_topics)
     return PlsaModel(word_given_topic, doc_mixtures, topic_prior, seed=seed)
 
@@ -209,14 +209,14 @@ def init_model(n_topics: int, n_words: int, seed: int,
 def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
     """Sum of X(w,d) * log P(w|d); zero-probability terms are floored.
 
-    This is the ``ll`` the E-step kernel computes, so it equals the
+    The kernel computes it as the E-step does, so it equals the
     log-likelihood ``em_step`` reports for the same model.
     """
-    return _sufficient_stats(model, X)[3]
+    return _kernels.em_log_likelihood(*_kernel_args(model, X))
 
 
-def _sufficient_stats(model: PlsaModel, X: CooccurrenceMatrix):
-    """The E-step kernel's ``(nwz, nzd, nz, ll)`` for ``model`` over ``X``."""
+def _kernel_args(model: PlsaModel, X: CooccurrenceMatrix):
+    """The E-step kernel's arguments for ``model`` over ``X``."""
     if X.n_words != model.n_words:
         raise ValidationError(
             f"matrix has {X.n_words} words but model expects {model.n_words}")
@@ -224,8 +224,7 @@ def _sufficient_stats(model: PlsaModel, X: CooccurrenceMatrix):
         raise ValidationError(
             f"matrix has {X.n_docs} docs but model carries "
             f"{model.doc_mixtures.shape[0]} mixtures")
-    return _kernels.em_sufficient_stats(
-        X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures)
+    return X.rows, X.cols, X.vals, model.word_given_topic, model.doc_mixtures
 
 
 def em_step(model: PlsaModel, X: CooccurrenceMatrix,
@@ -235,10 +234,14 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
 
     E-step: P(z|d,w) proportional to P(z|d) P(w|z). M-step renormalizes
     the posterior-weighted counts; ``smoothing`` is added to the P(w|z)
-    numerators. A topic with zero total mass is reset to a uniform row.
+    numerators. A topic with zero total mass is reset to a uniform row,
+    a document with zero mass to the uniform mixture.
+
+    The new mixtures are the transpose of a topic-major (K, N) array, the
+    layout the kernel gathers them from in the next step.
     """
     n_topics, n_words = model.word_given_topic.shape
-    nwz, nzd, nz, ll = _sufficient_stats(model, X)
+    nwz, nzd, nz, ll = _kernels.em_sufficient_stats(*_kernel_args(model, X))
 
     nwz = nwz + smoothing
     row_mass = nwz.sum(axis=1)
@@ -251,15 +254,17 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
         else:
             word_given_topic[k] = nwz[k] / row_mass[k]
 
-    doc_mass = nzd.sum(axis=1, keepdims=True)
-    doc_mixtures = np.where(doc_mass > 0.0,
-                            nzd / np.maximum(doc_mass, _TINY),
-                            1.0 / n_topics)
+    topic_doc = nzd.T  # (K, N), one contiguous row per topic
+    doc_mass = topic_doc.sum(axis=0)
+    empty = doc_mass <= 0.0
+    np.maximum(doc_mass, _TINY, out=doc_mass)
+    topic_doc /= doc_mass
+    np.copyto(topic_doc, 1.0 / n_topics, where=empty)
 
     nz_total = nz.sum()
     topic_prior = nz / nz_total if nz_total > 0 else np.full(n_topics, 1.0 / n_topics)
 
-    new_model = PlsaModel(word_given_topic, doc_mixtures, topic_prior,
+    new_model = PlsaModel(word_given_topic, topic_doc.T, topic_prior,
                           seed=model.seed, vocab_hash=model.vocab_hash)
     return new_model, ll
 

@@ -1,4 +1,5 @@
 import io
+import math
 import json
 
 import numpy as np
@@ -7,12 +8,34 @@ from phototopics.corpus import CooccurrenceMatrix, Vocabulary, parse_tag_records
 from phototopics.plsa import fold_in
 from phototopics.taxonomy import load_taxonomy
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def make_corpus(dense):
     """CooccurrenceMatrix from a dense M x N array."""
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
     return CooccurrenceMatrix(*dense.shape, rows, cols, dense[rows, cols])
+
+
+def reference_em_stats(rows, cols, vals, word_given_topic, doc_mixtures):
+    """Per-entry loop over the non-zeros: the E-step kernel's defining
+    arithmetic, ``(nwz, nzd, nz, ll)`` with ``nzd`` N x K."""
+    n_topics, n_words = word_given_topic.shape
+    nwz = np.zeros((n_topics, n_words))
+    nzd = np.zeros((doc_mixtures.shape[0], n_topics))
+    nz = np.zeros(n_topics)
+    ll = 0.0
+    for w, d, x in zip(rows, cols, vals):
+        q = [doc_mixtures[d, k] * word_given_topic[k, w] for k in range(n_topics)]
+        safe = max(sum(q), _TINY)
+        ll += x * math.log(safe)
+        for k in range(n_topics):
+            qk = q[k] * x / safe
+            nwz[k, w] += qk
+            nzd[d, k] += qk
+            nz[k] += qk
+    return nwz, nzd, nz, ll
 
 
 def fold_in_one(model, word_indices, word_values):

@@ -5,7 +5,7 @@ import pytest
 
 from phototopics import _kernels
 
-from conftest import column, random_corpus
+from conftest import column, make_corpus, random_corpus, reference_em_stats
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -16,25 +16,6 @@ def _random_params(rng, n_topics, n_words, n_docs):
     pzd = rng.random((n_docs, n_topics)) + 1e-3
     pzd /= pzd.sum(axis=1, keepdims=True)
     return pwz, pzd
-
-
-def reference_em_stats(rows, cols, vals, word_given_topic, doc_mixtures):
-    """Per-entry loop over the non-zeros: the kernel's defining arithmetic."""
-    n_topics, n_words = word_given_topic.shape
-    nwz = np.zeros((n_topics, n_words))
-    nzd = np.zeros((doc_mixtures.shape[0], n_topics))
-    nz = np.zeros(n_topics)
-    ll = 0.0
-    for w, d, x in zip(rows, cols, vals):
-        q = [doc_mixtures[d, k] * word_given_topic[k, w] for k in range(n_topics)]
-        safe = max(sum(q), _TINY)
-        ll += x * math.log(safe)
-        for k in range(n_topics):
-            qk = q[k] * x / safe
-            nwz[k, w] += qk
-            nzd[d, k] += qk
-            nz[k] += qk
-    return nwz, nzd, nz, ll
 
 
 def reference_fold_in(widx, wvals, word_given_topic, max_iters, tol):
@@ -70,6 +51,41 @@ def test_em_stats_match_reference_loop():
         for a, b in zip(got[:3], ref[:3]):
             np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
         assert got[3] == pytest.approx(ref[3], rel=1e-12)
+
+
+@pytest.mark.parametrize("dense, n_topics", [
+    ([[0, 1, 2, 1], [0, 3, 0, 1]], 3),  # first document without entries
+    ([[1, 0, 2, 1], [1, 0, 1, 2]], 2),  # a middle one
+    ([[1, 2, 1, 0], [2, 1, 3, 0]], 4),  # the last one
+    ([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 2, 0]], 3),  # all but two
+    ([[2], [1], [0], [3]], 3),  # a single document
+    ([[1, 0, 2], [0, 3, 1], [1, 1, 0]], 1),  # K = 1
+    ([[0, 0, 0], [0, 0, 0]], 2),  # no entries
+])
+def test_em_stats_edge_shapes_match_reference_loop(dense, n_topics):
+    """The per-document gather handles documents without entries in any
+    position, a lone document, one topic and an empty matrix."""
+    X = make_corpus(dense)
+    pwz, pzd = _random_params(np.random.default_rng(7), n_topics,
+                              X.n_words, X.n_docs)
+    ref = reference_em_stats(X.rows, X.cols, X.vals, pwz, pzd)
+    got = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
+    assert got[1].shape == (X.n_docs, n_topics)
+    for a, b in zip(got[:3], ref[:3]):
+        np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
+    assert got[3] == pytest.approx(ref[3], rel=1e-12)
+    assert got[3] == _kernels.em_log_likelihood(X.rows, X.cols, X.vals,
+                                                pwz, pzd)
+
+
+def test_em_stats_doc_totals_topic_major():
+    """``nzd`` is the N x K view of one contiguous row per topic."""
+    rng = np.random.default_rng(8)
+    X = random_corpus(rng)
+    pwz, pzd = _random_params(rng, 3, X.n_words, X.n_docs)
+    nzd = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)[1]
+    assert nzd.shape == (X.n_docs, 3)
+    assert nzd.T.flags.c_contiguous
 
 
 def test_fold_in_matches_reference_loop():
@@ -156,6 +172,8 @@ def test_numpy_path_deterministic():
 
 
 def test_em_stats_independent_of_layout_and_entry_order():
+    """C or Fortran mixtures give the same bits; another order of the
+    entries within each document agrees with the reference loop."""
     rng = np.random.default_rng(3)
     for _ in range(5):
         X = random_corpus(rng)
@@ -168,7 +186,9 @@ def test_em_stats_independent_of_layout_and_entry_order():
             assert np.array_equal(a, b)
         assert c_order[3] == f_order[3]
 
-        perm = rng.permutation(X.nnz)
+        # entries shuffled within each document; the kernel asks only
+        # that they be sorted by document
+        perm = np.lexsort((rng.random(X.nnz), X.cols))
         rows, cols, vals = X.rows[perm], X.cols[perm], X.vals[perm]
         ref = reference_em_stats(rows, cols, vals, pwz, pzd)
         got = _kernels.em_sufficient_stats(rows, cols, vals, pwz, pzd)

@@ -283,6 +283,9 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 class TestFetchTags:

@@ -18,7 +18,14 @@ from phototopics.plsa import (
     train,
 )
 
-from conftest import column, fold_in_one, make_corpus, planted_corpus, random_corpus
+from conftest import (
+    column,
+    fold_in_one,
+    make_corpus,
+    planted_corpus,
+    random_corpus,
+    reference_em_stats,
+)
 
 
 def best_permutation_accuracy(assigned, labels, n_topics):
@@ -105,6 +112,32 @@ class TestEmStep:
         with pytest.raises(ValidationError):
             em_step(model, X)
 
+    def test_documents_without_entries_get_uniform_mixtures(self):
+        X = make_corpus([[0, 2, 0, 1], [0, 1, 0, 3]])
+        model = init_model(3, 2, seed=0, n_docs=4)
+        for _ in range(2):
+            model, _ll = em_step(model, X)
+            for j in (0, 2):
+                assert model.doc_mixtures[j].tolist() == [1 / 3] * 3
+        model.validate()
+
+    def test_mixtures_stay_topic_major(self):
+        """Training keeps the N x K mixtures as the view of one contiguous
+        row per topic, from a model loaded C-ordered too, so the E-step
+        gathers from them without a copy."""
+        rng = np.random.default_rng(12)
+        X = random_corpus(rng)
+        model = init_model(3, X.n_words, seed=0, n_docs=X.n_docs)
+        assert model.doc_mixtures.T.flags.c_contiguous
+        for _ in range(2):
+            model, _ll = em_step(model, X)
+            assert model.doc_mixtures.shape == (X.n_docs, 3)
+            assert model.doc_mixtures.T.flags.c_contiguous
+        loaded = PlsaModel.from_json(model.to_json())
+        assert np.array_equal(loaded.doc_mixtures, model.doc_mixtures)
+        new, _ll = em_step(loaded, X)
+        assert new.doc_mixtures.T.flags.c_contiguous
+
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field", ["tol", "smoothing"])
@@ -142,6 +175,31 @@ class TestTrain:
         model = train(X, TrainConfig(n_topics=2, seed=0))
         assert model.n_iters >= 1
         assert np.isfinite(model.final_log_likelihood)
+
+    @pytest.mark.parametrize("n_iters", [1, 2, 6])
+    def test_matches_per_entry_reference_em(self, n_iters):
+        """``train`` for a fixed number of steps equals the per-entry
+        E-step loop followed by the M-step formulas."""
+        X, _labels = planted_corpus()
+        cfg = TrainConfig(n_topics=3, seed=5, max_iters=n_iters, tol=1e-300)
+        model = train(X, cfg)
+        assert model.n_iters == n_iters
+
+        start = init_model(3, X.n_words, seed=5, n_docs=X.n_docs)
+        pwz, pzd = start.word_given_topic, np.array(start.doc_mixtures)
+        for _ in range(n_iters):
+            nwz, nzd, nz, _ll = reference_em_stats(X.rows, X.cols, X.vals,
+                                                   pwz, pzd)
+            nwz = nwz + cfg.smoothing
+            pwz = nwz / nwz.sum(axis=1, keepdims=True)
+            pzd = nzd / nzd.sum(axis=1, keepdims=True)
+            prior = nz / nz.sum()
+        ll = reference_em_stats(X.rows, X.cols, X.vals, pwz, pzd)[3]
+        for got, want in ((model.word_given_topic, pwz),
+                          (model.doc_mixtures, pzd),
+                          (model.topic_prior, prior)):
+            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+        assert model.final_log_likelihood == pytest.approx(ll, rel=1e-12)
 
     def test_vocab_hash_bound(self):
         X = make_corpus([[1, 0], [0, 1]])
