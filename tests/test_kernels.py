@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -64,28 +62,20 @@ def test_em_stats_match_reference_loop():
 ])
 def test_em_stats_edge_shapes_match_reference_loop(dense, n_topics):
     """The per-document gather handles documents without entries in any
-    position, a lone document, one topic and an empty matrix."""
+    position, a lone document, one topic and an empty matrix; ``nzd`` is
+    the N x K view of a topic-major array."""
     X = make_corpus(dense)
     pwz, pzd = _random_params(np.random.default_rng(7), n_topics,
                               X.n_words, X.n_docs)
     ref = reference_em_stats(X.rows, X.cols, X.vals, pwz, pzd)
     got = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
     assert got[1].shape == (X.n_docs, n_topics)
+    assert got[1].T.flags.c_contiguous  # one contiguous row per topic
     for a, b in zip(got[:3], ref[:3]):
         np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
     assert got[3] == pytest.approx(ref[3], rel=1e-12)
     assert got[3] == _kernels.em_log_likelihood(X.rows, X.cols, X.vals,
                                                 pwz, pzd)
-
-
-def test_em_stats_doc_totals_topic_major():
-    """``nzd`` is the N x K view of one contiguous row per topic."""
-    rng = np.random.default_rng(8)
-    X = random_corpus(rng)
-    pwz, pzd = _random_params(rng, 3, X.n_words, X.n_docs)
-    nzd = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)[1]
-    assert nzd.shape == (X.n_docs, 3)
-    assert nzd.T.flags.c_contiguous
 
 
 def test_fold_in_matches_reference_loop():
