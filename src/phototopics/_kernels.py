@@ -1,8 +1,8 @@
 """Hot numeric kernels for EM training and folding-in.
 
-Both kernels run over a whole sparse matrix at once, in vectorized numpy
-with fixed reduction orders, so a given input gives bit-identical
-results across runs.
+Folding-in is the training EM with P(w|z) held fixed, so both share one
+topic-major posterior and one document M-step. Sums run in a fixed
+order: a document gets the same bits on every run, alone or batched.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 _TINY = np.finfo(np.float64).tiny
-# Elements of one (entries, K) array of a fold-in block: 2 MiB of float64.
+# Elements of one (K, entries) array of a fold-in block: 2 MiB of float64.
 _BLOCK_ELEMENTS = 1 << 18
 
 
@@ -22,50 +22,75 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     ``CooccurrenceMatrix`` keeps them. Returns (nwz, nzd, nz, ll) where
     ll is the log-likelihood of the *input* parameters over the entries.
 
-    The posterior is held topic-major, one contiguous row of length nnz
-    per topic, so the normalization and each ``bincount`` scatter run
-    over contiguous memory; ``bincount`` adds in input order, as a
-    per-entry loop would. ``nzd`` is filled topic-major too and returned
-    as the N x K transpose view of a (K, N) array, so an M-step that
-    keeps the mixtures in that layout hands them back without a copy.
+    Each ``bincount`` scatter runs over one contiguous topic row of the
+    posterior and adds in input order, as a per-entry loop would.
+    ``nzd`` is returned as the N x K transpose view of a (K, N) array,
+    the layout ``doc_m_step`` normalizes.
     """
-    n_topics, n_words = word_given_topic.shape
-    n_docs = doc_mixtures.shape[0]
-    q, safe = _posterior(rows, cols, word_given_topic, doc_mixtures)
+    n_words = word_given_topic.shape[1]
+    q, safe = _posterior(cols, doc_mixtures.T,
+                         (w.take(rows) for w in word_given_topic))
     ll = _log_likelihood(vals, safe)
     q *= vals / safe
-    nwz = np.empty((n_topics, n_words))
-    nzd = np.empty((n_topics, n_docs))
-    for k in range(n_topics):
-        nwz[k] = np.bincount(rows, weights=q[k], minlength=n_words)
-        nzd[k] = np.bincount(cols, weights=q[k], minlength=n_docs)
+    nwz = np.empty((len(q), n_words))
+    for k, q_k in enumerate(q):
+        nwz[k] = np.bincount(rows, weights=q_k, minlength=n_words)
     nz = q.sum(axis=1)
-    return nwz, nzd.T, nz, ll
+    return nwz, _doc_totals(q, cols, doc_mixtures.shape[0]).T, nz, ll
 
 
 def em_log_likelihood(rows, cols, vals, word_given_topic, doc_mixtures):
     """The ``ll`` of ``em_sufficient_stats`` for the same input, computed
     the same way but without the scatters."""
-    return _log_likelihood(
-        vals, _posterior(rows, cols, word_given_topic, doc_mixtures)[1])
+    return _log_likelihood(vals, _posterior(
+        cols, doc_mixtures.T, (w.take(rows) for w in word_given_topic))[1])
 
 
-def _posterior(rows, cols, word_given_topic, doc_mixtures):
+def doc_m_step(topic_doc):
+    """The M-step of the document mixtures: each column of the (K, N)
+    topic totals divided by its sum, in place; a document without mass
+    gets the uniform mixture. Returns ``topic_doc``."""
+    mass = _row_sum(topic_doc)
+    empty = mass <= 0.0
+    np.maximum(mass, _TINY, out=mass)
+    topic_doc /= mass
+    np.copyto(topic_doc, 1.0 / len(topic_doc), where=empty)
+    return topic_doc
+
+
+def _posterior(cols, doc_topic, pw_rows):
     """The unnormalized (K, nnz) posterior P(z|d) P(w|z) of entries sorted
     by document, and each entry's normalizer, floored at ``_TINY``.
 
+    ``cols`` is each entry's document, ``doc_topic`` the (K, N) mixtures
+    and ``pw_rows`` yields, topic by topic, P(w|z) of each entry's word.
     P(z|d) is gathered for all topics at once, by repeating each
-    document's column once per entry; on topic-major mixtures (the
-    transpose of a C-contiguous (K, N) array) nothing is copied first.
+    document's column once per entry; on a C-contiguous ``doc_topic``
+    nothing is copied first.
     """
-    doc_topic = np.ascontiguousarray(doc_mixtures.T)
     per_doc = np.bincount(cols, minlength=doc_topic.shape[1])
-    q = np.repeat(doc_topic, per_doc, axis=1)
-    for k in range(len(q)):
-        q[k] *= word_given_topic[k].take(rows)
-    safe = q.sum(axis=0)
+    q = np.repeat(np.ascontiguousarray(doc_topic), per_doc, axis=1)
+    for q_k, pw_k in zip(q, pw_rows):
+        q_k *= pw_k
+    safe = _row_sum(q)
     np.maximum(safe, _TINY, out=safe)
     return q, safe
+
+
+def _doc_totals(q, cols, n_docs):
+    """Each document's posterior mass per topic, as a (K, n_docs) array;
+    a document's entries are added in input order."""
+    totals = np.empty((len(q), n_docs))
+    for k, q_k in enumerate(q):
+        totals[k] = np.bincount(cols, weights=q_k, minlength=n_docs)
+    return totals
+
+
+def _row_sum(a):
+    """The rows of a C-contiguous (K, n) array added in row order, as
+    ``a.sum(axis=0)`` adds them for n > 1; numpy sums one column pairwise,
+    which would give a lone entry or document other bits."""
+    return a.sum(axis=0) if a.shape[1] != 1 else np.cumsum(a, axis=0)[-1]
 
 
 def _log_likelihood(vals, safe):
@@ -81,11 +106,12 @@ def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,
     the ``(n_docs, K)`` mixtures. A document without entries, or whose
     weights are all 0, keeps the uniform mixture.
 
-    Documents do not interact, so they are folded in together, in blocks
-    of whole documents holding about ``_BLOCK_ELEMENTS / K`` entries
-    each, which bounds the memory the ``(entries, K)`` arrays take on a
-    large input. The entries must be grouped by document, as a
-    ``CooccurrenceMatrix`` keeps them.
+    One iteration from uniform mixtures gives ``em_step``'s bits. Documents
+    do not interact, so they are folded in together, in blocks of whole
+    documents holding about ``_BLOCK_ELEMENTS / K`` entries each, which
+    bounds the memory the ``(K, entries)`` arrays take on a large input.
+    The entries must be sorted by document, as a ``CooccurrenceMatrix``
+    keeps them.
     """
     n_topics = word_given_topic.shape[0]
     theta = np.full((n_docs, n_topics), 1.0 / n_topics)
@@ -101,46 +127,30 @@ def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,
 
 
 def _fold_in_block(rows, cols, vals, word_given_topic, max_iters, tol, theta):
-    """Fold in the documents of one block, whose entries are grouped by
+    """Fold in the documents of one block, whose entries are sorted by
     document, and write their mixtures into ``theta``.
 
-    All documents are updated at once, and each one stops on its own once
-    no topic moved by ``tol`` or more; its entries then leave the arrays.
-    The posterior is held entry-major, ``(entries, K)``, so each entry's
-    normalizer sums its K terms in the same order as for one document
-    alone, and one ``bincount`` over the flat (document, topic) bins adds
-    each document's entries in input order; a document's mixture is
-    bit-identical whichever documents share the batch.
+    P(w|z) of the block's entries is gathered once, topic-major. All
+    documents are updated at once, and each one stops on its own once no
+    topic moved by ``tol`` or more; its entries then leave the arrays.
     """
-    n_topics = theta.shape[1]
-    starts = np.diff(cols, prepend=-1) != 0
-    docs = cols[starts]  # active documents
-    local = np.cumsum(starts) - 1  # each entry's position in docs
-    topics = np.arange(n_topics)
-    bins = (local[:, None] * n_topics + topics).ravel()  # flat (doc, topic) of q
-    pw = np.ascontiguousarray(word_given_topic[:, rows].T)
-    mix = theta[docs]
+    docs, per_doc = np.unique(cols, return_counts=True)  # active documents
+    doc_of = np.repeat(np.arange(len(docs)), per_doc)  # each entry's position in docs
+    pw = word_given_topic[:, rows]
+    mix = theta[docs].T
     for _ in range(max_iters):
         if not len(docs):
             break
-        q = pw * mix.take(local, axis=0)
-        scale = q.sum(axis=1)
-        np.maximum(scale, _TINY, out=scale)
-        np.divide(vals, scale, out=scale)
-        q *= scale[:, None]
-        new = np.bincount(bins, weights=q.ravel(), minlength=mix.size
-                          ).reshape(mix.shape)
-        total = new.sum(axis=1, keepdims=True)
-        np.divide(new, total, out=new, where=total > 0.0)
-        new[total[:, 0] <= 0.0] = 1.0 / n_topics
-        done = np.abs(new - mix).max(axis=1) < tol
+        q, safe = _posterior(doc_of, mix, pw)
+        q *= vals / safe
+        new = doc_m_step(_doc_totals(q, doc_of, len(docs)))
+        done = np.abs(new - mix).max(axis=0) < tol
         mix = new
         if done.any():
-            theta[docs[done]] = mix[done]
+            theta[docs[done]] = mix[:, done].T
             keep = ~done
-            entries = keep[local]
-            docs, mix = docs[keep], mix[keep]
-            local = (np.cumsum(keep) - 1)[local[entries]]
-            bins = (local[:, None] * n_topics + topics).ravel()
-            pw, vals = pw[entries], vals[entries]
-    theta[docs] = mix
+            entries = keep[doc_of]
+            docs, per_doc, mix = docs[keep], per_doc[keep], mix[:, keep]
+            doc_of = np.repeat(np.arange(len(docs)), per_doc)
+            pw, vals = pw[:, entries], vals[entries]
+    theta[docs] = mix.T

@@ -32,8 +32,6 @@ ROW_SUM_ATOL = 1e-9
 
 MODEL_FORMAT_VERSION = 1
 
-_TINY = np.finfo(np.float64).tiny
-
 
 def _is_count(value) -> bool:
     """True for an integer >= 0; JSON ``true`` and ``false`` are not counts."""
@@ -215,11 +213,15 @@ def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
     return _kernels.em_log_likelihood(*_kernel_args(model, X))
 
 
-def _kernel_args(model: PlsaModel, X: CooccurrenceMatrix):
-    """The E-step kernel's arguments for ``model`` over ``X``."""
+def _check_words(model: PlsaModel, X: CooccurrenceMatrix) -> None:
     if X.n_words != model.n_words:
         raise ValidationError(
             f"matrix has {X.n_words} words but model expects {model.n_words}")
+
+
+def _kernel_args(model: PlsaModel, X: CooccurrenceMatrix):
+    """The E-step kernel's arguments for ``model`` over ``X``."""
+    _check_words(model, X)
     if X.n_docs != model.doc_mixtures.shape[0]:
         raise ValidationError(
             f"matrix has {X.n_docs} docs but model carries "
@@ -254,12 +256,7 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
         else:
             word_given_topic[k] = nwz[k] / row_mass[k]
 
-    topic_doc = nzd.T  # (K, N), one contiguous row per topic
-    doc_mass = topic_doc.sum(axis=0)
-    empty = doc_mass <= 0.0
-    np.maximum(doc_mass, _TINY, out=doc_mass)
-    topic_doc /= doc_mass
-    np.copyto(topic_doc, 1.0 / n_topics, where=empty)
+    topic_doc = _kernels.doc_m_step(nzd.T)  # (K, N), one contiguous row per topic
 
     nz_total = nz.sum()
     topic_prior = nz / nz_total if nz_total > 0 else np.full(n_topics, 1.0 / n_topics)
@@ -301,9 +298,7 @@ def fold_in(model: PlsaModel, X: CooccurrenceMatrix) -> np.ndarray:
     depend on the other columns of ``X``. A document without entries
     folds in to the uniform mixture.
     """
-    if X.n_words != model.n_words:
-        raise ValidationError(
-            f"matrix has {X.n_words} words but model expects {model.n_words}")
+    _check_words(model, X)
     return _kernels.fold_in_kernel(X.rows, X.vals, model.word_given_topic,
                                    FOLD_IN_MAX_ITERS, FOLD_IN_TOL,
                                    X.cols, X.n_docs)

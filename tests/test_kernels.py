@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from phototopics import _kernels
+from phototopics.corpus import CooccurrenceMatrix
+from phototopics.plsa import PlsaModel, em_step
 
 from conftest import column, make_corpus, random_corpus, reference_em_stats
 
@@ -98,11 +100,14 @@ def test_fold_in_independent_of_batch(n_topics):
     """Each document's mixture is bit-identical whether it is folded in
     alone or with others, whatever the entry order within each document.
     With tol = 1e-3 the documents stop at different iterations and some
-    run out of iterations; with K >= 8 each entry's normalizer is a
-    pairwise sum."""
+    run out of iterations. The first matrix holds a one-entry document:
+    alone, its entry's normalizer and its mass each sum a single column
+    of K values, which numpy would add pairwise at K >= 8 where it adds
+    the columns of a wider array row by row."""
     rng = np.random.default_rng(4)
-    for _ in range(3):
-        X = random_corpus(rng, max_docs=30)
+    one_entry = make_corpus([[1, 0, 2], [0, 3, 1], [2, 0, 0], [0, 0, 1]])
+    assert np.count_nonzero(one_entry.cols == 1) == 1
+    for X in [one_entry] + [random_corpus(rng, max_docs=30) for _ in range(3)]:
         pwz, _ = _random_params(rng, n_topics, X.n_words, 1)
         order = np.lexsort((X.rows, X.cols))  # as CooccurrenceMatrix orders
         for perm in (order, np.lexsort((rng.random(X.nnz), X.cols))):
@@ -114,6 +119,30 @@ def test_fold_in_independent_of_batch(n_topics):
                 alone = _kernels.fold_in_kernel(rows[mine], vals[mine], pwz,
                                                 60, 1e-3)
                 assert np.array_equal(got[j], alone[0])
+
+
+def test_one_fold_in_iteration_is_one_em_step():
+    """Fold-in is the training EM with P(w|z) held fixed: one iteration
+    from uniform mixtures gives ``em_step``'s mixtures bit for bit, at
+    K = 9 (past numpy's 8-term pairwise unrolling), for documents of up
+    to 7 entries, one without entries and one whose weights are all 0."""
+    rng = np.random.default_rng(9)
+    n_topics, n_words = 9, 12
+    per_doc = [3, 0, 7, 1, 4, 2, 5, 6]
+    rows = np.concatenate([rng.choice(n_words, n, replace=False) for n in per_doc])
+    cols = np.repeat(np.arange(len(per_doc)), per_doc)
+    vals = rng.random(len(rows)) + 0.1
+    vals[cols == 4] = 0.0
+    X = CooccurrenceMatrix(n_words, len(per_doc), rows, cols, vals)
+    pwz, _ = _random_params(rng, n_topics, n_words, 1)
+    uniform = np.full(n_topics, 1 / n_topics)
+    model = PlsaModel(pwz, np.tile(uniform, (X.n_docs, 1)), uniform, seed=0)
+    trained, _ll = em_step(model, X)
+    folded = _kernels.fold_in_kernel(X.rows, X.vals, pwz, 1, 1e-10,
+                                     X.cols, X.n_docs)
+    assert np.array_equal(folded, trained.doc_mixtures)
+    for j in (1, 4):
+        assert folded[j].tolist() == uniform.tolist()
 
 
 @pytest.mark.parametrize("block_elements", [1, 9, 40, 200])

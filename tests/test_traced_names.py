@@ -1,9 +1,11 @@
-"""The benchmark's tracer wraps phototopics functions by name.
+"""The benchmark calls phototopics functions by name.
 
 ``perfbench/tracer.py`` (standard library only) lists them in ``TRACED``,
 and ``Tracer.install`` reads each one from its owner's ``__dict__``, so a
-deleted or renamed function breaks every traced benchmark run. This test
-catches that in the tier-1 suite.
+deleted or renamed function breaks every traced benchmark run.
+``perfbench/worker.py::micro`` calls the two EM kernels directly and
+reports a call that no longer fits as missing. These tests catch both in
+the tier-1 suite.
 """
 
 import importlib
@@ -76,3 +78,29 @@ def test_album_calls_reach_the_traced_layers(tmp_path):
     for name in ("pipeline.organize_collection", "corpus.build_cooccurrence",
                  "plsa.fold_in"):
         assert len(tracer.durations(name)) == 1, name
+
+
+def test_kernels_take_the_micro_benchmark_calls():
+    """The kernel calls of ``perfbench/worker.py::micro``: positional
+    arguments, and fold-in of one document without ``cols``."""
+    import numpy as np
+
+    from phototopics import _kernels
+
+    k, m, n, per_doc = 3, 20, 5, 4
+    rng = np.random.default_rng(0)
+    rows = rng.integers(0, m, size=n * per_doc).astype(np.int64)
+    cols = np.repeat(np.arange(n, dtype=np.int64), per_doc)
+    vals = np.ones(n * per_doc)
+    pwz = rng.random((k, m)) + 1e-3
+    pwz /= pwz.sum(axis=1, keepdims=True)
+    pzd = rng.random((n, k)) + 1e-3
+    pzd /= pzd.sum(axis=1, keepdims=True)
+    widx = np.sort(rng.choice(m, size=per_doc, replace=False)).astype(np.int64)
+    wvals = np.ones(per_doc)
+    nwz, nzd, nz, ll = _kernels.em_sufficient_stats(rows, cols, vals, pwz, pzd)
+    assert (nwz.shape, nzd.shape, nz.shape) == ((k, m), (n, k), (k,))
+    assert np.isfinite(ll)
+    theta = _kernels.fold_in_kernel(widx, wvals, pwz, 200, 1e-10)
+    assert theta.shape == (1, k)
+    np.testing.assert_allclose(theta.sum(axis=1), 1.0)
