@@ -28,7 +28,8 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     the layout ``doc_m_step`` normalizes.
     """
     n_words = word_given_topic.shape[1]
-    q, safe = _posterior(cols, doc_mixtures.T,
+    per_doc = np.bincount(cols, minlength=doc_mixtures.shape[0])
+    q, safe = _posterior(per_doc, doc_mixtures.T,
                          (w.take(rows) for w in word_given_topic))
     ll = _log_likelihood(vals, safe)
     q *= vals / safe
@@ -42,8 +43,9 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
 def em_log_likelihood(rows, cols, vals, word_given_topic, doc_mixtures):
     """The ``ll`` of ``em_sufficient_stats`` for the same input, computed
     the same way but without the scatters."""
+    per_doc = np.bincount(cols, minlength=doc_mixtures.shape[0])
     return _log_likelihood(vals, _posterior(
-        cols, doc_mixtures.T, (w.take(rows) for w in word_given_topic))[1])
+        per_doc, doc_mixtures.T, (w.take(rows) for w in word_given_topic))[1])
 
 
 def doc_m_step(topic_doc):
@@ -58,17 +60,16 @@ def doc_m_step(topic_doc):
     return topic_doc
 
 
-def _posterior(cols, doc_topic, pw_rows):
+def _posterior(per_doc, doc_topic, pw_rows):
     """The unnormalized (K, nnz) posterior P(z|d) P(w|z) of entries sorted
     by document, and each entry's normalizer, floored at ``_TINY``.
 
-    ``cols`` is each entry's document, ``doc_topic`` the (K, N) mixtures
-    and ``pw_rows`` yields, topic by topic, P(w|z) of each entry's word.
-    P(z|d) is gathered for all topics at once, by repeating each
-    document's column once per entry; on a C-contiguous ``doc_topic``
-    nothing is copied first.
+    ``per_doc`` is each document's number of entries, ``doc_topic`` the
+    (K, N) mixtures and ``pw_rows`` yields, topic by topic, P(w|z) of each
+    entry's word. P(z|d) is gathered for all topics at once, by repeating
+    each document's column once per entry; on a C-contiguous
+    ``doc_topic`` nothing is copied first.
     """
-    per_doc = np.bincount(cols, minlength=doc_topic.shape[1])
     q = np.repeat(np.ascontiguousarray(doc_topic), per_doc, axis=1)
     for q_k, pw_k in zip(q, pw_rows):
         q_k *= pw_k
@@ -111,46 +112,72 @@ def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,
     documents holding about ``_BLOCK_ELEMENTS / K`` entries each, which
     bounds the memory the ``(K, entries)`` arrays take on a large input.
     The entries must be sorted by document, as a ``CooccurrenceMatrix``
-    keeps them.
+    keeps them, so each document's entries and each block's cut follow
+    from the documents' entry counts alone.
     """
     n_topics = word_given_topic.shape[0]
     theta = np.full((n_docs, n_topics), 1.0 / n_topics)
     if cols is None:
         cols = np.zeros(len(rows), dtype=np.int64)
-    first = np.flatnonzero(np.diff(cols, prepend=-1))  # each document's first entry
+    per_doc = np.bincount(cols, minlength=n_docs)
+    docs = np.flatnonzero(per_doc)  # the documents with entries
+    per_doc = per_doc[docs]
+    ends = np.cumsum(per_doc)
+    starts = ends - per_doc
     per_block = max(1, _BLOCK_ELEMENTS // n_topics)
-    cuts = first[np.flatnonzero(np.diff(first // per_block, prepend=-1))]
-    for lo, hi in zip(cuts, [*cuts[1:], len(cols)]):
-        _fold_in_block(rows[lo:hi], cols[lo:hi], vals[lo:hi], word_given_topic,
-                       max_iters, tol, theta)
+    # a block starts with the first document of each new span of per_block entries
+    cuts = np.flatnonzero(np.diff(starts // per_block, prepend=-1)).tolist()
+    for a, b in zip(cuts, [*cuts[1:], len(docs)]):
+        lo, hi = starts[a], ends[b - 1]
+        _fold_in_block(rows[lo:hi], vals[lo:hi], word_given_topic, max_iters,
+                       tol, theta, docs[a:b], per_doc[a:b])
     return theta
 
 
-def _fold_in_block(rows, cols, vals, word_given_topic, max_iters, tol, theta):
-    """Fold in the documents of one block, whose entries are sorted by
-    document, and write their mixtures into ``theta``.
+def _fold_in_block(rows, vals, word_given_topic, max_iters, tol, theta,
+                   docs, per_doc):
+    """Fold in the documents ``docs`` of one block, whose entries are
+    sorted by document, ``per_doc`` of them each, and write their
+    mixtures into ``theta``.
 
     P(w|z) of the block's entries is gathered once, topic-major. All
     documents are updated at once, and each one stops on its own once no
     topic moved by ``tol`` or more; its entries then leave the arrays.
+    Each iteration adds up the documents' topic totals with one
+    ``bincount`` over the flat bins ``k * len(docs) + doc``: a bin gets
+    its terms in entry order, as a ``bincount`` per topic adds them. The
+    bins take as much memory as the block's posterior, which
+    ``_BLOCK_ELEMENTS`` bounds; training, whose posterior spans every
+    entry, scatters one topic at a time instead (``_doc_totals``).
     """
-    docs, per_doc = np.unique(cols, return_counts=True)  # active documents
-    doc_of = np.repeat(np.arange(len(docs)), per_doc)  # each entry's position in docs
-    pw = word_given_topic[:, rows]
-    mix = theta[docs].T
+    n_topics = len(word_given_topic)
+    pw = word_given_topic.take(rows, axis=1)
+    mix = np.full((n_topics, len(docs)), 1.0 / n_topics)
+    bins = _topic_major_bins(n_topics, per_doc)
     for _ in range(max_iters):
-        if not len(docs):
-            break
-        q, safe = _posterior(doc_of, mix, pw)
+        q, safe = _posterior(per_doc, mix, pw)
         q *= vals / safe
-        new = doc_m_step(_doc_totals(q, doc_of, len(docs)))
+        new = doc_m_step(np.bincount(bins, weights=q.ravel(), minlength=mix.size)
+                         .reshape(mix.shape))
         done = np.abs(new - mix).max(axis=0) < tol
         mix = new
-        if done.any():
+        n_done = np.count_nonzero(done)
+        if n_done == len(docs):
+            break
+        if n_done:
             theta[docs[done]] = mix[:, done].T
             keep = ~done
-            entries = keep[doc_of]
+            entries = np.repeat(keep, per_doc)
             docs, per_doc, mix = docs[keep], per_doc[keep], mix[:, keep]
-            doc_of = np.repeat(np.arange(len(docs)), per_doc)
+            bins = _topic_major_bins(n_topics, per_doc)
             pw, vals = pw[:, entries], vals[entries]
     theta[docs] = mix.T
+
+
+def _topic_major_bins(n_topics, per_doc):
+    """The flat (K * entries) bin of each posterior term: ``k * n + doc``
+    for topic ``k`` of an entry of document ``doc`` of ``n``, repeated as
+    ``_posterior`` repeats P(z|d)."""
+    n = len(per_doc)
+    grid = np.arange(n_topics * n).reshape(n_topics, n)
+    return np.repeat(grid, per_doc, axis=1).ravel()

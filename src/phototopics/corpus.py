@@ -240,11 +240,6 @@ class CooccurrenceMatrix:
     def nnz(self) -> int:
         return len(self.vals)
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_words, self.n_docs))
-        dense[self.rows, self.cols] = self.vals
-        return dense
-
 
 def parse_tag_records(stream) -> TagTable:
     """Parse JSON-lines tag records from an iterable of lines or a file object.

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
+from urllib.parse import quote
 
 import numpy as np
 
@@ -59,11 +60,15 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
                          ) -> CategoryScores:
     """Parse JSON-lines ``{"image_id","topic","category","score"}`` scores.
 
-    Every entry must name a category registered for its topic; offenders
-    are collected and reported together.
+    ``image_id``, ``topic`` and ``category`` must be JSON strings and
+    ``score`` a JSON number (not ``true``/``false``) in [0, 1]; nothing is
+    coerced. An (image, topic, category) triple may be listed once. Every
+    entry must name a category registered for its topic; offenders are
+    collected and reported together.
     """
     registry = registry if registry is not None else load_category_registry()
     by_image: dict[str, list[tuple[str, str, float]]] = {}
+    seen: set[tuple[str, str, str]] = set()
     offenders = []
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
@@ -71,19 +76,29 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
             continue
         try:
             obj = json.loads(line)
-            image_id = str(obj["image_id"])
-            topic = str(obj["topic"])
-            category = str(obj["category"])
-            score = float(obj["score"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            key = image_id, topic, category = (
+                obj["image_id"], obj["topic"], obj["category"])
+            score = obj["score"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValidationError(f"malformed score line {lineno}: {exc}") from exc
+        if not all(isinstance(v, str) for v in key):
+            raise ValidationError(f"malformed score line {lineno}: image_id, "
+                                  "topic and category must be strings")
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValidationError(
+                f"malformed score line {lineno}: score must be a number")
         if not 0.0 <= score <= 1.0:
             raise ValidationError(f"score {score} outside [0, 1] at line {lineno}")
+        if key in seen:
+            raise ValidationError(
+                f"malformed score line {lineno}: image {image_id!r}, topic "
+                f"{topic!r}, category {category!r} is listed twice")
+        seen.add(key)
         if category not in registry.get(topic, set()):
             offenders.append(f"line {lineno}: {category!r} not registered "
                              f"under topic {topic!r}")
             continue
-        by_image.setdefault(image_id, []).append((topic, category, score))
+        by_image.setdefault(image_id, []).append((topic, category, float(score)))
     if offenders:
         raise ValidationError("unknown categories:\n" + "\n".join(offenders))
     return CategoryScores(by_image=by_image)
@@ -266,9 +281,12 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
                ) -> tuple[TagTable, list[tuple[str, str]]]:
     """Fetch tag records from an auto-tagging HTTP endpoint.
 
-    GETs ``{endpoint}/{image_id}`` per id and expects a tag-record JSON
-    object back. Per-id failures are collected and returned alongside
-    the successful records; only an unreachable endpoint aborts.
+    GETs ``{endpoint}/{image_id}`` per id, the id percent-encoded as one
+    path segment (RFC 3986, section 2.1), and expects a tag-record JSON
+    object back. The ids ``.`` and ``..`` would name the endpoint itself or
+    its parent (section 3.3), so each fails without a request. Per-id
+    failures are collected and returned alongside the successful records;
+    only an unreachable endpoint aborts.
     """
     import requests
 
@@ -279,9 +297,12 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     failures = []
     base = endpoint.rstrip("/")
     for image_id in image_ids:
+        if image_id in (".", ".."):  # dot segments, which a client resolves
+            failures.append((image_id, "id is a dot segment"))
+            continue
+        url = f"{base}/{quote(image_id, safe='')}"
         try:
-            resp = requests.get(f"{base}/{image_id}", headers=headers,
-                                timeout=timeout)
+            resp = requests.get(url, headers=headers, timeout=timeout)
         except requests.ConnectionError as exc:
             raise TransportError(f"endpoint {endpoint} unreachable: {exc}") from exc
         except requests.RequestException as exc:

@@ -42,24 +42,22 @@ class TaxonomyGraph:
         """
         dist = self._hops.get(synset)
         if dist is None:
-            dist = self._hops[synset] = dict(self._walk_up(synset))
+            _check_known(self, synset)
+            dist = {synset: 0}  # breadth-first, so the first hop count is the least
+            queue = deque([synset])
+            while queue:
+                s = queue.popleft()
+                for p in self.parents[s]:
+                    if p not in dist:
+                        dist[p] = dist[s] + 1
+                        queue.append(p)
+            self._hops[synset] = dist
         return dist
 
-    def _walk_up(self, synset: str):
-        """Yield ``(ancestor, hops)`` for the synset and each ancestor, in
-        breadth-first order, without keeping the result."""
-        if synset not in self.parents:
-            raise ValidationError(f"unknown synset {synset!r}")
-        dist = {synset: 0}
-        queue = deque([synset])
-        while queue:
-            s = queue.popleft()
-            hops = dist[s]
-            yield s, hops
-            for p in self.parents[s]:
-                if p not in dist:
-                    dist[p] = hops + 1
-                    queue.append(p)
+
+def _check_known(graph: TaxonomyGraph, synset: str) -> None:
+    if synset not in graph.parents:
+        raise ValidationError(f"unknown synset {synset!r}")
 
 
 def read_tsv(stream, what: str, n_fields: int):
@@ -160,19 +158,29 @@ def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, floa
     descendant, counted once per synset regardless of how many paths lead
     up (DAG-aware). IC(s) = -log((cumulative + 1) / (total + |synsets|))
     with add-one smoothing; roots are then clamped to the minimum IC.
-    The ancestors are walked without filling the graph's hop-map memo.
+    The ancestors are walked without filling the graph's hop-map memo;
+    each ancestor's total adds the counts in the order they are listed.
     """
     if any(c < 0 for c in counts.values()):
         raise ValidationError("raw counts must be non-negative")
     total = sum(counts.values())
     if not 0 < total < math.inf:
         raise ValidationError("total raw count must be positive and finite")
-    n = len(graph.parents)
-    cumulative = {s: 0.0 for s in graph.parents}
+    parents = graph.parents
+    n = len(parents)
+    cumulative = dict.fromkeys(parents, 0.0)
     for s, c in counts.items():
         if c == 0:
             continue
-        for a, _hops in graph._walk_up(s):
+        _check_known(graph, s)
+        seen = {s}
+        stack = [s]
+        while stack:
+            for p in parents[stack.pop()]:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        for a in seen:
             cumulative[a] += c
     ic = {s: -math.log((cumulative[s] + 1.0) / (total + n)) for s in graph.parents}
     min_ic = min(ic.values())

@@ -18,6 +18,13 @@ def make_corpus(dense):
     return CooccurrenceMatrix(*dense.shape, rows, cols, dense[rows, cols])
 
 
+def dense(X):
+    """The M x N array of the CooccurrenceMatrix ``X``."""
+    out = np.zeros((X.n_words, X.n_docs))
+    out[X.rows, X.cols] = X.vals
+    return out
+
+
 def reference_em_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     """Per-entry loop over the non-zeros: the E-step kernel's defining
     arithmetic, ``(nwz, nzd, nz, ll)`` with ``nzd`` N x K."""

@@ -23,6 +23,7 @@ from conftest import (
     ANIMAL_WORDS,
     FOOD_WORDS,
     column,
+    dense,
     fold_in_one,
     food_animal_setup,
     planted_corpus,
@@ -66,7 +67,7 @@ def test_criterion_3_k1_closed_form():
         X = random_corpus(rng)
         model = init_model(1, X.n_words, seed=seed, n_docs=X.n_docs)
         new, _ll = em_step(model, X, smoothing=0.0)
-        empirical = X.to_dense().sum(axis=1) / X.vals.sum()
+        empirical = dense(X).sum(axis=1) / X.vals.sum()
         assert np.abs(new.word_given_topic[0] - empirical).max() < 1e-12
     _report(3, "K=1 closed form within 1e-12")
 

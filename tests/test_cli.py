@@ -541,6 +541,12 @@ SWEEP_INPUTS = {
         "not-an-object": b"[1]\n", "score-text": _patch(score="high"),
         "score-above-1": _patch(score=1.5),
         "unregistered-category": _patch(category="tiger"),
+        "image-id-null": _patch(image_id=None),
+        "image-id-number": _patch(image_id=5),
+        "topic-null": _patch(topic=None), "category-list": _patch(category=["x"]),
+        "score-bool": _patch(score=True), "score-null": _patch(score=None),
+        "score-numeric-text": _patch(score="0.5"),
+        "repeated-triple": lambda valid: valid + _patch(score=0.2)(valid) + b"\n",
     }),
     "name-defs": (["name-topics"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,

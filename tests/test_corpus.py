@@ -15,7 +15,7 @@ from phototopics.corpus import (
 )
 from phototopics.exceptions import ValidationError
 
-from conftest import tag_record_line, tag_table
+from conftest import dense, tag_record_line, tag_table
 
 
 class TestParseTagRecords:
@@ -317,13 +317,13 @@ class TestBuildCooccurrence:
         vocab = Vocabulary(("dog",))
         rec = tag_table([("a", "u", [("dog", 0.9)])])
         X = build_cooccurrence(rec, vocab, "binary")
-        assert X.to_dense().tolist() == [[1.0]]
+        assert dense(X).tolist() == [[1.0]]
 
     def test_confidence_weighting(self):
         vocab = Vocabulary(("dog",))
         rec = tag_table([("a", "u", [("dog", 0.9)])])
         X = build_cooccurrence(rec, vocab, "confidence")
-        assert X.to_dense().tolist() == [[0.9]]
+        assert dense(X).tolist() == [[0.9]]
 
     def test_out_of_vocab_doc_kept_as_empty_column(self):
         vocab = Vocabulary(("dog",))
@@ -339,7 +339,7 @@ class TestBuildCooccurrence:
             ("b", "u", [("cat", 0.9)]),
         ])
         X = build_cooccurrence(recs, vocab)
-        sums = X.to_dense().sum(axis=0)
+        sums = dense(X).sum(axis=0)
         assert sums.tolist() == [2.0, 1.0]
 
     @pytest.mark.parametrize("val", [float("nan"), float("inf")])

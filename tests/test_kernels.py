@@ -161,6 +161,66 @@ def test_fold_in_independent_of_blocking(monkeypatch, block_elements):
             assert np.array_equal(_kernels.fold_in_kernel(*args), whole)
 
 
+def per_topic_fold_in(rows, cols, vals, word_given_topic, max_iters, tol,
+                      n_docs):
+    """Batched fold-in whose document totals take one ``bincount`` per
+    topic; documents leave the arrays as they stop. Also returns the
+    iteration at which each document with entries stopped."""
+    n_topics = len(word_given_topic)
+    theta = np.full((n_docs, n_topics), 1.0 / n_topics)
+    stopped = {}
+    docs, per_doc = np.unique(cols, return_counts=True)
+    doc_of = np.repeat(np.arange(len(docs)), per_doc)
+    pw, mix = word_given_topic[:, rows], theta[docs].T
+    for it in range(1, max_iters + 1):
+        if not len(docs):
+            break
+        q, safe = _kernels._posterior(per_doc, mix, pw)
+        q *= vals / safe
+        totals = np.empty((n_topics, len(docs)))
+        for k, q_k in enumerate(q):
+            totals[k] = np.bincount(doc_of, weights=q_k, minlength=len(docs))
+        new = _kernels.doc_m_step(totals)
+        done = np.abs(new - mix).max(axis=0) < tol
+        mix = new
+        theta[docs[done]] = mix[:, done].T
+        stopped.update(dict.fromkeys(docs[done].tolist(), it))
+        keep = ~done
+        entries = keep[doc_of]
+        docs, per_doc, mix = docs[keep], per_doc[keep], mix[:, keep]
+        doc_of = np.repeat(np.arange(len(docs)), per_doc)
+        pw, vals = pw[:, entries], vals[entries]
+    theta[docs] = mix.T
+    stopped.update(dict.fromkeys(docs.tolist(), max_iters))
+    return theta, stopped
+
+
+@pytest.mark.parametrize("block_elements", [None, 1, 64, 600])
+def test_fold_in_totals_match_per_topic_bincounts(monkeypatch, block_elements):
+    """The flat topic-major ``bincount`` of each iteration gives the bits
+    of one ``bincount`` per topic, for K from 1 to 33, with documents
+    without entries between others, documents that stop at different
+    iterations and, with a small ``_BLOCK_ELEMENTS``, many blocks."""
+    if block_elements is not None:
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(16)
+    shrank = 0
+    for n_topics in [1, 33, *rng.integers(1, 34, size=10)]:
+        n_docs, n_words = int(rng.integers(3, 25)), int(rng.integers(2, 40))
+        per_doc = rng.integers(0, 9, size=n_docs)
+        per_doc[rng.integers(1, n_docs - 1)] = 0  # one between others
+        cols = np.repeat(np.arange(n_docs), per_doc)
+        rows = rng.integers(0, n_words, size=len(cols))
+        vals = rng.integers(0, 4, size=len(cols)) * rng.random(len(cols))
+        pwz, _ = _random_params(rng, int(n_topics), n_words, 1)
+        want, stopped = per_topic_fold_in(rows, cols, vals, pwz, 60, 1e-3,
+                                          n_docs)
+        got = _kernels.fold_in_kernel(rows, vals, pwz, 60, 1e-3, cols, n_docs)
+        assert got.tobytes() == want.tobytes()
+        shrank += len(set(stopped.values())) > 1
+    assert shrank >= 8
+
+
 def test_fold_in_documents_without_weight_stay_uniform():
     """No entries, or entries that all weigh 0, give the uniform mixture;
     documents between them are unaffected."""

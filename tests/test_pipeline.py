@@ -3,6 +3,7 @@ import io
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from urllib.parse import unquote
 
 import numpy as np
 import pytest
@@ -89,8 +90,11 @@ class TestLoadCategoryScores:
     def test_valid_line_accepted(self):
         line = json.dumps({"image_id": "a", "topic": "Text and Visual",
                            "category": "screenshot", "score": 0.7})
-        scores = load_category_scores([line])
-        assert scores.by_image["a"] == [("Text and Visual", "screenshot", 0.7)]
+        integer = json.dumps({"image_id": "a", "topic": "Text and Visual",
+                              "category": "map", "score": 1})
+        scores = load_category_scores([line, integer])
+        assert scores.by_image["a"] == [("Text and Visual", "screenshot", 0.7),
+                                        ("Text and Visual", "map", 1.0)]
 
     def test_wrong_topic_category_rejected(self):
         line = json.dumps({"image_id": "a", "topic": "Food and Drinks",
@@ -106,6 +110,16 @@ class TestLoadCategoryScores:
                            "category": "screenshot", "score": 1.2})
         with pytest.raises(ValidationError):
             load_category_scores([line])
+
+    def test_repeated_triple_names_its_line(self):
+        entry = {"image_id": "a", "topic": "Text and Visual",
+                 "category": "screenshot", "score": 0.7}
+        other = {**entry, "category": "map"}
+        lines = [json.dumps(entry), json.dumps(other),
+                 json.dumps({**entry, "score": 0.9})]
+        with pytest.raises(ValidationError,
+                           match="malformed score line 3: .* listed twice"):
+            load_category_scores(lines)
 
     def test_best_for_topic_ignores_cross_topic(self):
         scores = CategoryScores({"a": [("Food and Drinks", "paella", 0.8),
@@ -253,10 +267,13 @@ class _StubTagHandler(BaseHTTPRequestHandler):
         "bare": {"tags": [{"tag": "Dog", "confidence": 0.2},
                           {"tag": "dog", "confidence": 0.6}]},
         "bad": {"tags": [{"tag": "dog"}]},
+        "e": {"tags": [{"tag": "dog", "confidence": 0.5}]},
+        "e#f": {"tags": [{"tag": "cat", "confidence": 0.5}]},
     }
 
     def do_GET(self):
-        image_id = self.path.rsplit("/", 1)[-1]
+        self.server.paths.append(self.path)
+        image_id = unquote(self.path[1:])
         if image_id == "boom":
             self.send_response(500)
             self.end_headers()
@@ -277,15 +294,22 @@ class _StubTagHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def stub_server():
+def stub():
+    """The stub tag server; ``paths`` lists the request paths it saw."""
     server = HTTPServer(("127.0.0.1", 0), _StubTagHandler)
+    server.paths = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
+    yield server
     server.shutdown()
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def stub_server(stub):
+    return f"http://127.0.0.1:{stub.server_port}"
 
 
 class TestFetchTags:
@@ -318,6 +342,21 @@ class TestFetchTags:
             '{"collection_id": "", "image_id": "bare", '
             '"tags": [{"confidence": 0.6, "tag": "dog"}]}\n')
         assert "fetched 2 records, 2 failures" in capsys.readouterr().out
+
+    def test_ids_are_encoded_as_one_path_segment(self, stub, stub_server):
+        """Reserved characters and spaces in an id are percent-encoded, so
+        each id asks for itself: ``e#f`` does not get the tags of ``e``
+        and ``../x`` stays below the endpoint. The dot segments ``.`` and
+        ``..``, which no encoding keeps below it, fail without a request."""
+        ids = ["a/b", ".", "c?d=1", "e#f", "..", "g h", "../x"]
+        records, failures = fetch_tags(stub_server, ids)
+        assert stub.paths == ["/a%2Fb", "/c%3Fd%3D1", "/e%23f", "/g%20h",
+                              "/..%2Fx"]
+        assert records.image_ids == ["e#f"]
+        assert records.record_tags(0) == [("cat", 0.5)]
+        assert failures == [
+            (i, "id is a dot segment" if i in (".", "..") else "HTTP 404")
+            for i in ids if i != "e#f"]
 
     def test_empty_ids_rejected(self, stub_server):
         with pytest.raises(ValidationError):

@@ -20,6 +20,7 @@ from phototopics.plsa import (
 
 from conftest import (
     column,
+    dense,
     fold_in_one,
     make_corpus,
     planted_corpus,
@@ -67,7 +68,7 @@ class TestEmStep:
         X = make_corpus([[2, 1], [0, 3]])
         model = init_model(1, 2, seed=0, n_docs=2)
         new, _ll = em_step(model, X, smoothing=0.0)
-        empirical = X.to_dense().sum(axis=1) / X.vals.sum()
+        empirical = dense(X).sum(axis=1) / X.vals.sum()
         np.testing.assert_allclose(new.word_given_topic[0], empirical,
                                    atol=1e-12, rtol=0)
         np.testing.assert_allclose(new.doc_mixtures, 1.0, atol=1e-12)
