@@ -21,6 +21,7 @@ from .corpus import (
     Vocabulary,
     build_cooccurrence,
     build_vocabulary,
+    decode_json,
     parse_tag_records,
 )
 from .exceptions import (
@@ -39,10 +40,7 @@ def _read_records(path):
 def _read_names_result(path) -> list[nm.TopicNaming]:
     """The ``name-topics`` output, in topic order."""
     with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"names result is not JSON: {exc}") from exc
+        payload = decode_json(f.read(), "names result")
     try:
         names = [nm.TopicNaming(topic=e["topic"], name=e["name"],
                                 scores=tuple(e["scores"]),

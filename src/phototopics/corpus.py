@@ -241,21 +241,30 @@ class CooccurrenceMatrix:
         return len(self.vals)
 
 
-def parse_tag_records(stream) -> TagTable:
-    """Parse JSON-lines tag records from an iterable of lines or a file object.
+def decode_json(text, what: str):
+    """``json.loads(text)``; text it cannot decode raises ``ValidationError``."""
+    # ValueError covers JSONDecodeError and an integer over Python's digit
+    # limit; RecursionError is nesting too deep to decode.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
 
-    Each line is checked by ``TagTableBuilder.add``; an error names the
-    line. Blank lines are skipped.
-    """
+
+def read_json_lines(stream, what: str):
+    """Yield ``(line number, decode_json(line))`` for each non-blank line."""
+    for lineno, line in enumerate((text.strip() for text in stream), start=1):
+        if line:
+            yield lineno, decode_json(line, f"{what} at line {lineno}")
+
+
+def parse_tag_records(stream) -> TagTable:
+    """Parse JSON-lines tag records from an iterable of lines or a file
+    object; ``TagTableBuilder.add`` checks each, and an error names its line."""
     builder = TagTableBuilder()
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj in read_json_lines(stream, "tag record"):
         try:
-            builder.add(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed tag record at line {lineno}: {exc}") from exc
+            builder.add(obj)
         except ValidationError as exc:
             raise ValidationError(f"{exc} at line {lineno}") from exc
     return builder.build()

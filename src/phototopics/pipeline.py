@@ -16,7 +16,8 @@ from urllib.parse import quote
 import numpy as np
 
 from . import plsa
-from .corpus import TagTable, TagTableBuilder, Vocabulary, build_cooccurrence
+from .corpus import (TagTable, TagTableBuilder, Vocabulary, build_cooccurrence,
+                     decode_json, read_json_lines)
 from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
@@ -70,16 +71,12 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
     by_image: dict[str, list[tuple[str, str, float]]] = {}
     seen: set[tuple[str, str, str]] = set()
     offenders = []
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj in read_json_lines(stream, "score"):
         try:
-            obj = json.loads(line)
             key = image_id, topic, category = (
                 obj["image_id"], obj["topic"], obj["category"])
             score = obj["score"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed score line {lineno}: {exc}") from exc
         if not all(isinstance(v, str) for v in key):
             raise ValidationError(f"malformed score line {lineno}: image_id, "
@@ -312,7 +309,8 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
             failures.append((image_id, f"HTTP {resp.status_code}"))
             continue
         try:
-            records.add({"image_id": image_id, "collection_id": "", **resp.json()})
-        except (ValueError, TypeError, ValidationError) as exc:
+            records.add({"image_id": image_id, "collection_id": "",
+                         **decode_json(resp.text, "tag record")})
+        except (TypeError, ValidationError) as exc:
             failures.append((image_id, f"bad response: {exc}"))
     return records.build(), failures

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .corpus import CooccurrenceMatrix, Vocabulary
+from .corpus import CooccurrenceMatrix, Vocabulary, decode_json
 from .exceptions import NumericError, ValidationError
 
 DEFAULT_TOPICS = 8
@@ -123,20 +123,23 @@ class PlsaModel:
     def from_json(cls, text: str) -> "PlsaModel":
         """Parse and validate a saved model.
 
-        Malformed text, a ``format_version`` other than
+        Text ``decode_json`` rejects, a ``format_version`` other than
         ``MODEL_FORMAT_VERSION``, inconsistent shapes (``n_topics`` and
         ``n_words`` included), a ``seed`` or ``n_iters`` that is not an
-        integer >= 0 and parameters that fail ``validate()`` all raise
-        ``ValidationError``.
+        integer >= 0, a ``final_log_likelihood`` that is not a number or
+        null and parameters that fail ``validate()`` raise ``ValidationError``.
         """
+        payload = decode_json(text, "model")
         try:
-            payload = json.loads(text)
             version = payload.get("format_version")
             doc_mixtures = payload.get("doc_mixtures")
             sizes = (payload["n_topics"], payload["n_words"])
             if not doc_mixtures:
                 doc_mixtures = np.zeros((0, sizes[0]))
             ll = payload.get("final_log_likelihood")
+            if isinstance(ll, bool) or not isinstance(ll, (int, float, type(None))):
+                raise ValidationError("malformed model: final_log_likelihood must "
+                                      f"be a number or null; got {ll!r}")
             model = cls(
                 word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
                 doc_mixtures=np.array(doc_mixtures, dtype=np.float64),
@@ -146,7 +149,7 @@ class PlsaModel:
                 n_iters=payload["n_iters"],
                 final_log_likelihood=float("nan") if ll is None else float(ll),
             )
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed model: {exc!r}") from exc
         if version != MODEL_FORMAT_VERSION:
             raise ValidationError(

@@ -488,6 +488,18 @@ def _tag(tag, confidence=0.5) -> bytes:
 
 NOT_UTF8 = b"\xff\xfe not utf-8\n"
 
+# Too deep for json's decoder, which raises RecursionError.
+DEEPLY_NESTED = b"[" * 100_000 + b"]" * 100_000 + b"\n"
+
+
+def _long_integer(patch):
+    """``patch``'s output with the string "<long>" made a 5,000-digit
+    integer, longer than Python converts from text by default."""
+    def apply(valid: bytes) -> bytes:
+        return patch(valid).replace(b'"<long>"', b"9" * 5000)
+    return apply
+
+
 # input kind -> the commands that read it, and malformed contents
 SWEEP_INPUTS = {
     "records": (["build-vocab", "train", "fold-in", "organize"], {
@@ -505,6 +517,8 @@ SWEEP_INPUTS = {
         "tag-null": _tag(None), "tag-object": _tag({"x": 1}),
         "confidence-bool": _tag("dog", True),
         "confidence-numeric-text": _tag("dog", "0.5"),
+        "deeply-nested": DEEPLY_NESTED,
+        "long-integer": _long_integer(lambda valid: _tag("dog", "<long>")),
     }),
     "vocab": (["train", "fold-in", "name-topics", "coherence", "organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,
@@ -525,6 +539,10 @@ SWEEP_INPUTS = {
         "iters-bool": _patch(n_iters=True), "iters-float": _patch(n_iters=2.0),
         "topics-text": _patch(n_topics="two"), "topics-off": _patch(n_topics=3),
         "words-off": _patch(n_words=1), "words-null": _patch(n_words=None),
+        "likelihood-numeric-text": _patch(final_log_likelihood="1.5"),
+        "likelihood-bool": _patch(final_log_likelihood=True),
+        "deeply-nested": DEEPLY_NESTED,
+        "long-integer": _long_integer(_patch(final_log_likelihood="<long>")),
     }),
     "names": (["organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
@@ -535,6 +553,8 @@ SWEEP_INPUTS = {
         "topic-float": _patch_first(topic=0.0),
         "topics-bool": lambda valid: json.dumps(
             [{**e, "topic": bool(e["topic"])} for e in json.loads(valid)]).encode(),
+        "deeply-nested": DEEPLY_NESTED,
+        "long-integer": _long_integer(_patch_first(topic="<long>")),
     }),
     "scores": (["organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8, "truncated": _truncate,
@@ -547,6 +567,8 @@ SWEEP_INPUTS = {
         "score-bool": _patch(score=True), "score-null": _patch(score=None),
         "score-numeric-text": _patch(score="0.5"),
         "repeated-triple": lambda valid: valid + _patch(score=0.2)(valid) + b"\n",
+        "deeply-nested": DEEPLY_NESTED,
+        "long-integer": _long_integer(_patch(score="<long>")),
     }),
     "name-defs": (["name-topics"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,

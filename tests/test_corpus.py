@@ -10,7 +10,9 @@ from phototopics.corpus import (
     Vocabulary,
     build_cooccurrence,
     build_vocabulary,
+    decode_json,
     parse_tag_records,
+    read_json_lines,
     vectorize_record,
 )
 from phototopics.exceptions import ValidationError
@@ -89,6 +91,36 @@ class TestParseTagRecords:
     def test_bytes_input(self):
         line = tag_record_line("a", "u", [("dog", 0.5)]).encode()
         assert parse_tag_records([line]).image_ids == ["a"]
+
+
+# Text json.loads cannot decode: it raises JSONDecodeError, RecursionError
+# or, for an integer over Python's digit limit, a plain ValueError.
+NOT_JSON = {"syntax": "{broken", "extra-data": "[1] 2",
+            "deeply-nested": "[" * 100_000 + "]" * 100_000,
+            "long-integer": '{"confidence": -' + "1" * 5000 + "}"}
+
+
+class TestDecodeJson:
+    def test_error_names_what(self):
+        with pytest.raises(ValidationError) as info:
+            decode_json("[", "model")
+        assert str(info.value) == ("malformed model: Expecting value: "
+                                   "line 1 column 2 (char 1)")
+
+    @pytest.mark.parametrize("case", NOT_JSON)
+    def test_line_that_is_not_json_names_what_and_line(self, case):
+        with pytest.raises(ValidationError, match="^malformed x at line 3: "):
+            list(read_json_lines(["1", "", NOT_JSON[case], "2"], "x"))
+
+    @pytest.mark.parametrize("case", NOT_JSON)
+    def test_tag_record_decode_error_named_once(self, case):
+        """A decode error names its line once: it is not also given the
+        " at line N" of a record that fails its checks."""
+        with pytest.raises(ValidationError) as info:
+            parse_tag_records([tag_record_line("a", "u", []), NOT_JSON[case]])
+        message = str(info.value)
+        assert message.startswith("malformed tag record at line 2: ")
+        assert message.count("line 2") == 1
 
 
 def _line(**change):

@@ -279,11 +279,14 @@ class _StubTagHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         record = self.fixed.get(image_id)
-        if record is None:
+        if image_id == "deep":  # too deeply nested for json's decoder
+            body = b"[" * 100_000 + b"]" * 100_000
+        elif record is None:
             self.send_response(404)
             self.end_headers()
             return
-        body = json.dumps(record).encode()
+        else:
+            body = json.dumps(record).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -331,6 +334,12 @@ class TestFetchTags:
         assert records.record_tags(0) == [("dog", 0.6)]
         assert [image_id for image_id, _ in failures] == ["bad"]
         assert failures[0][1].startswith("bad response")
+
+    def test_deeply_nested_response_fails_its_id_alone(self, stub_server):
+        records, failures = fetch_tags(stub_server, ["a", "deep", "b"])
+        assert records.image_ids == ["a", "b"]
+        assert [image_id for image_id, _ in failures] == ["deep"]
+        assert failures[0][1].startswith("bad response: malformed tag record: ")
 
     def test_cli_writes_one_line_per_record(self, stub_server, tmp_path, capsys):
         out = tmp_path / "records.jsonl"

@@ -478,9 +478,20 @@ class TestModelSerialization:
         ({"seed": 1.7}, "seed"),
         ({"seed": True}, "seed"),
         ({"seed": "abc"}, "seed"),
+        ({"final_log_likelihood": "1.5"}, "final_log_likelihood"),
+        ({"final_log_likelihood": True}, "final_log_likelihood"),
+        ({"final_log_likelihood": [1.5]}, "final_log_likelihood"),
+        ({"final_log_likelihood": -10 ** 400}, "too large"),
+        ({"topic_prior": [10 ** 400, 0]}, "too large"),
     ])
     def test_invalid_model_rejected_at_load(self, change, match):
         payload = json.loads(init_model(2, 3, seed=0, n_docs=1).to_json())
         payload.update(change)
         with pytest.raises(ValidationError, match=match):
             PlsaModel.from_json(json.dumps(payload))
+
+    def test_integer_likelihood_loads_as_float(self):
+        payload = json.loads(init_model(2, 3, seed=0).to_json())
+        payload["final_log_likelihood"] = -5
+        value = PlsaModel.from_json(json.dumps(payload)).final_log_likelihood
+        assert value == -5.0 and type(value) is float
