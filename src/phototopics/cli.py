@@ -24,11 +24,7 @@ from .corpus import (
     decode_json,
     parse_tag_records,
 )
-from .exceptions import (
-    InputOutputError,
-    NumericError,
-    ValidationError,
-)
+from .exceptions import InputOutputError, NumericError, ValidationError
 from .taxonomy import load_taxonomy
 
 

@@ -114,7 +114,10 @@ class TagTableBuilder:
                     if type(conf) is not int:
                         raise ValidationError(
                             f"malformed tag entry: confidence {conf!r} is not a number")
-                    conf = float(conf)
+                    # float() may overflow on an int of 1024 bits or more;
+                    # such an int reads as +-inf and fails the range check
+                    conf = (float(conf) if conf.bit_length() < 1024
+                            else float("inf") if conf > 0 else float("-inf"))
                 if type(tag) is not str:
                     raise ValidationError(
                         f"malformed tag entry: tag {tag!r} is not a string")

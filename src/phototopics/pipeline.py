@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
 
 import numpy as np
 
@@ -57,8 +57,7 @@ class CategoryScores:
         return min(candidates, key=lambda cs: (-cs[1], cs[0]))
 
 
-def load_category_scores(stream, registry: dict[str, set[str]] | None = None
-                         ) -> CategoryScores:
+def load_category_scores(stream) -> CategoryScores:
     """Parse JSON-lines ``{"image_id","topic","category","score"}`` scores.
 
     ``image_id``, ``topic`` and ``category`` must be JSON strings and
@@ -67,7 +66,7 @@ def load_category_scores(stream, registry: dict[str, set[str]] | None = None
     entry must name a category registered for its topic; offenders are
     collected and reported together.
     """
-    registry = registry if registry is not None else load_category_registry()
+    registry = load_category_registry()
     by_image: dict[str, list[tuple[str, str, float]]] = {}
     seen: set[tuple[str, str, str]] = set()
     offenders = []
@@ -285,32 +284,42 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     failures are collected and returned alongside the successful records;
     only an unreachable endpoint aborts.
     """
-    import requests
+    import urllib.request
+    from http.client import HTTPException
 
     if not image_ids:
         raise ValidationError("image id list must be non-empty")
-    headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-    records = TagTableBuilder()
-    failures = []
+    try:  # reading .port raises ValueError unless it is a number in [0, 65535]
+        parts = urlsplit(endpoint)
+        if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+            raise ValueError("not an http(s) URL naming a host and port")
+    except ValueError as exc:
+        raise ValidationError(f"bad endpoint {endpoint!r}: {exc}") from exc
+    records, failures = TagTableBuilder(), []
     base = endpoint.rstrip("/")
     for image_id in image_ids:
         if image_id in (".", ".."):  # dot segments, which a client resolves
             failures.append((image_id, "id is a dot segment"))
             continue
-        url = f"{base}/{quote(image_id, safe='')}"
+        request = urllib.request.Request(f"{base}/{quote(image_id, safe='')}")
+        if api_key:  # unredirected: never sent on to the host a redirect names
+            request.add_unredirected_header("Authorization", f"Bearer {api_key}")
         try:
-            resp = requests.get(url, headers=headers, timeout=timeout)
-        except requests.ConnectionError as exc:
-            raise TransportError(f"endpoint {endpoint} unreachable: {exc}") from exc
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:  # a 4xx, a 5xx or an unfollowed 3xx
+            status = exc.code
+        except urllib.error.URLError as exc:  # no connection could be made
+            raise TransportError(f"endpoint {endpoint} unreachable: {exc.reason}") from exc
+        except (OSError, HTTPException) as exc:  # a connection made, then lost
             failures.append((image_id, str(exc)))
             continue
-        if resp.status_code != 200:
-            failures.append((image_id, f"HTTP {resp.status_code}"))
+        if status != 200:
+            failures.append((image_id, f"HTTP {status}"))
             continue
-        try:
+        try:  # json reads UTF-8, -16 or -32 bytes (RFC 8259); no charset is guessed
             records.add({"image_id": image_id, "collection_id": "",
-                         **decode_json(resp.text, "tag record")})
+                         **decode_json(body, "tag record")})
         except (TypeError, ValidationError) as exc:
             failures.append((image_id, f"bad response: {exc}"))
     return records.build(), failures

@@ -519,6 +519,8 @@ SWEEP_INPUTS = {
         "confidence-numeric-text": _tag("dog", "0.5"),
         "deeply-nested": DEEPLY_NESTED,
         "long-integer": _long_integer(lambda valid: _tag("dog", "<long>")),
+        # under the digit limit, but past the largest float
+        "huge-integer-confidence": _tag("dog", int("9" * 400)),
     }),
     "vocab": (["train", "fold-in", "name-topics", "coherence", "organize"], {
         "missing": MISSING, "not-utf8": NOT_UTF8,

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import threading
+import urllib.request
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from urllib.parse import unquote
 
@@ -273,14 +274,21 @@ class _StubTagHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):
         self.server.paths.append(self.path)
+        self.server.auth.append(self.headers.get("Authorization"))
         image_id = unquote(self.path[1:])
-        if image_id == "boom":
-            self.send_response(500)
+        if image_id == "hangup":  # close the connection without answering
+            return
+        if image_id in ("boom", "empty", "moved"):
+            self.send_response({"boom": 500, "empty": 204, "moved": 302}[image_id])
+            if image_id == "moved":
+                self.send_header("Location", f"{self.server.moved_to}/e")
             self.end_headers()
             return
         record = self.fixed.get(image_id)
         if image_id == "deep":  # too deeply nested for json's decoder
             body = b"[" * 100_000 + b"]" * 100_000
+        elif image_id == "huge":  # a confidence past the largest float
+            body = b'{"tags": [{"tag": "dog", "confidence": %s}]}' % (b"9" * 400)
         elif record is None:
             self.send_response(404)
             self.end_headers()
@@ -296,11 +304,10 @@ class _StubTagHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture()
-def stub():
-    """The stub tag server; ``paths`` lists the request paths it saw."""
+def _serve_stub():
     server = HTTPServer(("127.0.0.1", 0), _StubTagHandler)
     server.paths = []
+    server.auth = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server
@@ -308,6 +315,19 @@ def stub():
     server.server_close()
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture()
+def stub():
+    """The stub tag server; ``paths`` lists the request paths it saw and
+    ``auth`` the Authorization header of each (None when absent)."""
+    yield from _serve_stub()
+
+
+@pytest.fixture()
+def other_stub():
+    """A second stub tag server, on another port."""
+    yield from _serve_stub()
 
 
 @pytest.fixture()
@@ -374,3 +394,44 @@ class TestFetchTags:
     def test_unreachable_endpoint(self):
         with pytest.raises(TransportError):
             fetch_tags("http://127.0.0.1:1", ["a"], timeout=0.5)
+
+    def test_api_key_does_not_follow_a_redirect(self, stub, stub_server,
+                                                other_stub):
+        """``moved`` answers 302 with a Location on the other server: the
+        record is fetched from there, but the key stays with the endpoint."""
+        stub.moved_to = f"http://127.0.0.1:{other_stub.server_port}"
+        records, failures = fetch_tags(stub_server, ["moved"], api_key="k3y")
+        assert failures == []
+        assert records.image_ids == ["moved"]
+        assert records.record_tags(0) == [("dog", 0.5)]
+        assert (stub.paths, stub.auth) == (["/moved"], ["Bearer k3y"])
+        assert (other_stub.paths, other_stub.auth) == (["/e"], [None])
+
+    def test_dropped_connection_fails_its_id_alone(self, stub, stub_server):
+        records, failures = fetch_tags(stub_server, ["a", "hangup", "b"])
+        assert records.image_ids == ["a", "b"]
+        assert [image_id for image_id, _ in failures] == ["hangup"]
+        assert failures[0][1]
+        assert stub.paths == ["/a", "/hangup", "/b"]
+
+    def test_success_other_than_200_is_a_failure(self, stub_server):
+        records, failures = fetch_tags(stub_server, ["empty", "a"])
+        assert records.image_ids == ["a"]
+        assert failures == [("empty", "HTTP 204")]
+
+    def test_confidence_past_the_float_range_fails_its_id(self, stub_server):
+        records, failures = fetch_tags(stub_server, ["huge", "a"])
+        assert records.image_ids == ["a"]
+        assert failures == [
+            ("huge", "bad response: confidence inf outside [0, 1]")]
+
+    @pytest.mark.parametrize("endpoint", ["foo", "ftp://x/tags", "http://"])
+    def test_cli_rejects_an_endpoint_that_is_not_http(
+            self, endpoint, monkeypatch, capsys):
+        opened = []
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda *args, **kwargs: opened.append(args))
+        assert main(["fetch-tags", "a", "--endpoint", endpoint]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad endpoint ") and "Traceback" not in err
+        assert opened == []
