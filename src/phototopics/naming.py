@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from importlib import resources
 
 import numpy as np
@@ -103,6 +104,11 @@ def score_topic_names(top_tags: list[str], defs: list[TopicNameDef],
     Lin similarity across sense pairs; tags unknown to the lexicon
     contribute 0.
     """
+    return _score_names(top_tags, defs, partial(_anchor_similarity, graph))
+
+
+def _score_names(top_tags, defs, similarity) -> np.ndarray:
+    """``score_topic_names`` with ``similarity(tag, anchor, pinned)``."""
     if not top_tags:
         raise ValidationError("need at least one top tag")
     if not defs:
@@ -112,7 +118,7 @@ def score_topic_names(top_tags: list[str], defs: list[TopicNameDef],
         total = 0.0
         for tag in top_tags:
             for anchor, pinned in zip(d.anchors, d.pinned_synsets):
-                total += _anchor_similarity(graph, tag, anchor, pinned)
+                total += similarity(tag, anchor, pinned)
         scores[i] = total
     return scores
 
@@ -125,12 +131,14 @@ def name_topics(model: PlsaModel, vocab: Vocabulary, defs: list[TopicNameDef],
     Per-topic argmax by default (duplicates allowed but flagged); with
     ``distinct=True`` a one-to-one assignment maximizing the total score
     is computed instead. A topic whose scores are all zero is named
-    "Null" and flagged.
+    "Null" and flagged. Each (tag, anchor) pair's similarity is found
+    once per call.
     """
+    similarity = cache(partial(_anchor_similarity, graph))
     score_rows = []
     for k in range(model.n_topics):
         tags = [w for w, _p in top_words(model, vocab, k, n_top)]
-        score_rows.append(score_topic_names(tags, defs, graph))
+        score_rows.append(_score_names(tags, defs, similarity))
     score_matrix = np.vstack(score_rows)
 
     if distinct:

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +37,14 @@ MODEL_FORMAT_VERSION = 1
 def _is_count(value) -> bool:
     """True for an integer >= 0; JSON ``true`` and ``false`` are not counts."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _numbers(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON list (of lists if ``ndim`` is 2) of numbers, not bools, as floats."""
+    items = chain.from_iterable(value) if ndim == 2 else value
+    if not set(map(type, items)) <= {int, float}:
+        raise ValidationError(f"malformed model: {name} must hold only numbers")
+    return np.array(value, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -127,7 +136,8 @@ class PlsaModel:
         ``MODEL_FORMAT_VERSION``, inconsistent shapes (``n_topics`` and
         ``n_words`` included), a ``seed`` or ``n_iters`` that is not an
         integer >= 0, a ``final_log_likelihood`` that is not a number or
-        null and parameters that fail ``validate()`` raise ``ValidationError``.
+        null and parameters that are not JSON numbers or fail ``validate()``
+        raise ``ValidationError``.
         """
         payload = decode_json(text, "model")
         try:
@@ -141,9 +151,10 @@ class PlsaModel:
                 raise ValidationError("malformed model: final_log_likelihood must "
                                       f"be a number or null; got {ll!r}")
             model = cls(
-                word_given_topic=np.array(payload["word_given_topic"], dtype=np.float64),
-                doc_mixtures=np.array(doc_mixtures, dtype=np.float64),
-                topic_prior=np.array(payload["topic_prior"], dtype=np.float64),
+                word_given_topic=_numbers(payload["word_given_topic"],
+                                          "word_given_topic", 2),
+                doc_mixtures=_numbers(doc_mixtures, "doc_mixtures", 2),
+                topic_prior=_numbers(payload["topic_prior"], "topic_prior", 1),
                 seed=payload["seed"],
                 vocab_hash=payload.get("vocab_hash", ""),
                 n_iters=payload["n_iters"],

@@ -466,6 +466,15 @@ def _patch(**change):
     return apply
 
 
+def _patch_from(key, make):
+    """The valid JSON object with ``key`` replaced by ``make(payload)``."""
+    def apply(valid: bytes) -> bytes:
+        payload = json.loads(valid)
+        payload[key] = make(payload)
+        return json.dumps(payload).encode()
+    return apply
+
+
 def _patch_first(**change):
     """The valid JSON list with keys of its first entry replaced."""
     def apply(valid: bytes) -> bytes:
@@ -534,6 +543,11 @@ SWEEP_INPUTS = {
         "seed-float": _patch(seed=1.7), "seed-bool": _patch(seed=True),
         "vocab-hash-number": _patch(vocab_hash=5),
         "prior-text": _patch(topic_prior="x"),
+        "prior-numeric-text": _patch(topic_prior=["0.5", "0.5"]),
+        "probabilities-bool": _patch_from("word_given_topic", lambda m: [
+            [w == k for w in range(m["n_words"])] for k in range(m["n_topics"])]),
+        "mixtures-numeric-text": _patch_from("doc_mixtures", lambda m: [
+            [repr(p) for p in row] for row in m["doc_mixtures"]]),
         "mixtures-number": _patch(doc_mixtures=5),
         "likelihood-text": _patch(final_log_likelihood="x"),
         "no-format-version": _patch(format_version=None),

@@ -8,6 +8,9 @@ from phototopics.plsa import PlsaModel, em_step
 from conftest import column, make_corpus, random_corpus, reference_em_stats
 
 _TINY = np.finfo(np.float64).tiny
+# Fold-in mixtures agree with per-topic, entry-order sums within this
+# (the tolerance README.md states).
+FOLD_IN_ATOL = 1e-14
 
 
 def _random_params(rng, n_topics, n_words, n_docs):
@@ -197,10 +200,11 @@ def per_topic_fold_in(rows, cols, vals, word_given_topic, max_iters, tol,
 
 @pytest.mark.parametrize("block_elements", [None, 1, 64, 600])
 def test_fold_in_totals_match_per_topic_bincounts(monkeypatch, block_elements):
-    """The flat topic-major ``bincount`` of each iteration gives the bits
-    of one ``bincount`` per topic, for K from 1 to 33, with documents
-    without entries between others, documents that stop at different
-    iterations and, with a small ``_BLOCK_ELEMENTS``, many blocks."""
+    """Each iteration's ``reduceat`` document totals agree with one
+    ``bincount`` per topic within the stated tolerance, for K from 1 to 33,
+    with documents without entries between others, documents that stop at
+    different iterations and, with a small ``_BLOCK_ELEMENTS``, many
+    blocks."""
     if block_elements is not None:
         monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
     rng = np.random.default_rng(16)
@@ -216,9 +220,43 @@ def test_fold_in_totals_match_per_topic_bincounts(monkeypatch, block_elements):
         want, stopped = per_topic_fold_in(rows, cols, vals, pwz, 60, 1e-3,
                                           n_docs)
         got = _kernels.fold_in_kernel(rows, vals, pwz, 60, 1e-3, cols, n_docs)
-        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, atol=FOLD_IN_ATOL, rtol=0)
         shrank += len(set(stopped.values())) > 1
     assert shrank >= 8
+
+
+@pytest.mark.parametrize("block_elements", [1, 64, 600])
+@pytest.mark.parametrize("n_topics", [3, 9])
+def test_em_stats_across_blocks_match_reference_loop(monkeypatch,
+                                                      block_elements, n_topics):
+    """Training walks the blocks fold-in walks: over many blocks, with
+    documents without entries first, in the middle and last, the
+    statistics match the per-entry loop, ``em_log_likelihood`` gives the
+    same ``ll`` and one fold-in iteration still gives ``em_step``'s bits."""
+    monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(21)
+    per_doc = rng.integers(1, 20, size=60)
+    per_doc[[0, 30, 59]] = 0
+    n_words = 40
+    rows = np.concatenate([rng.choice(n_words, n, replace=False) for n in per_doc])
+    cols = np.repeat(np.arange(len(per_doc)), per_doc)
+    X = CooccurrenceMatrix(n_words, len(per_doc), rows, cols,
+                           rng.integers(1, 4, size=len(rows)) * 1.0)
+    assert X.nnz > 2 * max(1, block_elements // n_topics)  # several blocks
+    pwz, pzd = _random_params(rng, n_topics, n_words, X.n_docs)
+    ref = reference_em_stats(X.rows, X.cols, X.vals, pwz, pzd)
+    got = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals, pwz, pzd)
+    for a, b in zip(got[:3], ref[:3]):
+        np.testing.assert_allclose(a, b, atol=1e-12, rtol=1e-12)
+    assert got[3] == pytest.approx(ref[3], rel=1e-12)
+    assert got[3] == _kernels.em_log_likelihood(X.rows, X.cols, X.vals, pwz, pzd)
+    assert not got[1][[0, 30, 59]].any()
+
+    uniform = np.full(n_topics, 1 / n_topics)
+    model = PlsaModel(pwz, np.tile(uniform, (X.n_docs, 1)), uniform, seed=0)
+    folded = _kernels.fold_in_kernel(X.rows, X.vals, pwz, 1, 1e-10,
+                                     X.cols, X.n_docs)
+    assert np.array_equal(folded, em_step(model, X)[0].doc_mixtures)
 
 
 def test_fold_in_documents_without_weight_stay_uniform():

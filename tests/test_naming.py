@@ -121,3 +121,24 @@ class TestNameTopics:
         r1 = name_topics(model, vocab, default_name_defs(), graph)
         r2 = name_topics(model, vocab, default_name_defs(), graph)
         assert r1 == r2
+
+    def test_each_pair_scored_once_per_call(self, monkeypatch):
+        """Topics that share top tags reuse their similarities within one
+        call: the twin topics cost the Lin similarities of one, and score
+        as ``score_topic_names`` scores them."""
+        from phototopics import taxonomy
+
+        graph, model, vocab = food_animal_setup()
+        twin = type(model)(np.vstack([model.word_given_topic[0]] * 2),
+                           np.zeros((0, 2)), np.array([0.5, 0.5]), seed=0)
+        defs = default_name_defs()
+        calls = []
+        lin = taxonomy.lin_similarity
+        monkeypatch.setattr(taxonomy, "lin_similarity",
+                            lambda *args: calls.append(args) or lin(*args))
+        want = score_topic_names(FOOD_WORDS, defs, graph)
+        once = len(calls)
+        result = name_topics(twin, vocab, defs, graph)
+        assert len(calls) == 2 * once
+        for r in result:
+            assert r.scores == tuple(want)

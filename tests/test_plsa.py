@@ -483,6 +483,11 @@ class TestModelSerialization:
         ({"final_log_likelihood": [1.5]}, "final_log_likelihood"),
         ({"final_log_likelihood": -10 ** 400}, "too large"),
         ({"topic_prior": [10 ** 400, 0]}, "too large"),
+        ({"topic_prior": ["0.5", "0.5"]}, "malformed model: topic_prior"),
+        ({"word_given_topic": [[True, False, False], [False, True, False]]},
+         "malformed model: word_given_topic"),
+        ({"doc_mixtures": [[True, False]]}, "malformed model: doc_mixtures"),
+        ({"doc_mixtures": [["0.5", "0.5"]]}, "malformed model: doc_mixtures"),
     ])
     def test_invalid_model_rejected_at_load(self, change, match):
         payload = json.loads(init_model(2, 3, seed=0, n_docs=1).to_json())
