@@ -4,6 +4,7 @@ Folding-in is the training EM with P(w|z) held fixed, so both run one
 E-step over the same blocks of whole documents. A document's sums run
 in a fixed order over its own entries: it gets the same bits on every
 run, alone or batched, and each document total is one ``reduceat``.
+Every M-step, of P(w|z), P(z|d) and P(z), is one ``m_step``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
     ``CooccurrenceMatrix`` keeps them. Returns (nwz, nzd, nz, ll) where
     ll is the log-likelihood of the *input* parameters over the entries.
     ``nzd`` is the N x K transpose view of a (K, N) array, the layout
-    ``doc_m_step`` normalizes.
+    ``m_step`` normalizes.
     """
     n_topics, n_words = word_given_topic.shape
     nwz = np.zeros((n_topics, n_words))
@@ -53,16 +54,16 @@ def em_log_likelihood(rows, cols, vals, word_given_topic, doc_mixtures):
     return ll
 
 
-def doc_m_step(topic_doc):
-    """The M-step of the document mixtures: each column of the (K, N)
-    topic totals divided by its sum, in place; a document without mass
-    gets the uniform mixture. Returns ``topic_doc``."""
-    mass = _row_sum(topic_doc)
+def m_step(counts):
+    """The M-step: each column of the 2-D expected ``counts`` divided by
+    its sum, in place; a column without mass gets the uniform value
+    ``1 / len(counts)``. Returns ``counts``."""
+    mass = _row_sum(counts)
     empty = mass <= 0.0
     np.maximum(mass, _TINY, out=mass)
-    topic_doc /= mass
-    np.copyto(topic_doc, 1.0 / len(topic_doc), where=empty)
-    return topic_doc
+    counts /= mass
+    np.copyto(counts, 1.0 / len(counts), where=empty)
+    return counts
 
 
 def _blocks(rows, cols, vals, n_docs, n_topics):
@@ -101,9 +102,12 @@ def _posterior(per_doc, doc_topic, pw):
 
 
 def _row_sum(a):
-    """The rows of a C-contiguous (K, n) array added in row order, as
-    ``a.sum(axis=0)`` adds them for n > 1; numpy sums one column pairwise,
-    which would give a lone entry or document other bits."""
+    """The rows of a 2-D array added. For n > 1 columns this is
+    ``a.sum(axis=0)``, whose order follows the layout: row order for a
+    C-contiguous (K, n) array, numpy's pairwise order down each column of
+    a transposed one such as the (M, K) view of P(w|z). A lone column is
+    added in row order; ``sum`` would add it pairwise, which would give a
+    lone entry or document other bits."""
     return a.sum(axis=0) if a.shape[1] != 1 else np.cumsum(a, axis=0)[-1]
 
 
@@ -143,7 +147,7 @@ def _fold_in_block(pw, vals, per_doc, starts, max_iters, tol):
     for _ in range(max_iters):
         q, safe = _posterior(per_doc, mix, pw)
         q *= vals / safe
-        new = doc_m_step(np.add.reduceat(q, starts, axis=1))
+        new = m_step(np.add.reduceat(q, starts, axis=1))
         done = np.abs(new - mix).max(axis=0) < tol
         mix = new
         n_done = np.count_nonzero(done)

@@ -170,6 +170,8 @@ def cmd_organize(args) -> int:
 
 
 def cmd_fetch_tags(args) -> int:
+    if args.ids and args.ids_file:
+        raise ValidationError("image ids given both as arguments and in --ids-file")
     if args.ids_file:
         with open(args.ids_file, encoding="utf-8") as f:
             ids = [line.strip() for line in f if line.strip()]

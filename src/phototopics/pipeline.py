@@ -279,10 +279,12 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
 
     GETs ``{endpoint}/{image_id}`` per id, the id percent-encoded as one
     path segment (RFC 3986, section 2.1), and expects a tag-record JSON
-    object back. The ids ``.`` and ``..`` would name the endpoint itself or
-    its parent (section 3.3), so each fails without a request. Per-id
-    failures are collected and returned alongside the successful records;
-    only an unreachable endpoint aborts.
+    object back. The empty id and the ids ``.`` and ``..`` would name the
+    endpoint itself or its parent (section 3.3), so each fails without a
+    request. A record is filed under the id it was asked for: one that
+    names another ``image_id`` fails that id. Per-id failures are
+    collected and returned alongside the successful records; only an
+    unreachable endpoint aborts.
     """
     import urllib.request
     from http.client import HTTPException
@@ -298,8 +300,9 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     records, failures = TagTableBuilder(), []
     base = endpoint.rstrip("/")
     for image_id in image_ids:
-        if image_id in (".", ".."):  # dot segments, which a client resolves
-            failures.append((image_id, "id is a dot segment"))
+        if image_id in ("", ".", ".."):  # the endpoint; dot segments a client resolves
+            failures.append((image_id, "id is a dot segment" if image_id else
+                             "id is empty"))
             continue
         request = urllib.request.Request(f"{base}/{quote(image_id, safe='')}")
         if api_key:  # unredirected: never sent on to the host a redirect names
@@ -318,8 +321,10 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
             failures.append((image_id, f"HTTP {status}"))
             continue
         try:  # json reads UTF-8, -16 or -32 bytes (RFC 8259); no charset is guessed
-            records.add({"image_id": image_id, "collection_id": "",
-                         **decode_json(body, "tag record")})
+            record = {"collection_id": "", **decode_json(body, "tag record")}
+            if record.setdefault("image_id", image_id) != image_id:
+                raise ValidationError(f"record names image {record['image_id']!r}")
+            records.add(record)
         except (TypeError, ValidationError) as exc:
             failures.append((image_id, f"bad response: {exc}"))
     return records.build(), failures

@@ -53,7 +53,6 @@ class TrainConfig:
     max_iters: int = DEFAULT_MAX_ITERS
     tol: float = DEFAULT_TOL
     seed: int = 0
-    smoothing: float = DEFAULT_SMOOTHING
 
     def __post_init__(self):
         if self.n_topics < 1:
@@ -62,9 +61,6 @@ class TrainConfig:
             raise ValidationError("max_iters must be >= 1")
         if not 0 < self.tol < math.inf:
             raise ValidationError(f"tol must be finite and > 0; got {self.tol!r}")
-        if not 0 <= self.smoothing < math.inf:
-            raise ValidationError(
-                f"smoothing must be finite and >= 0; got {self.smoothing!r}")
         if not _is_count(self.seed):
             raise ValidationError(f"seed must be an integer >= 0; got {self.seed!r}")
 
@@ -211,8 +207,7 @@ def init_model(n_topics: int, n_words: int, seed: int,
     if n_topics < 1 or n_words < 1:
         raise ValidationError("n_topics and n_words must be >= 1")
     rng = np.random.default_rng(seed)
-    word_given_topic = rng.random((n_topics, n_words)) + 1e-3
-    word_given_topic /= word_given_topic.sum(axis=1, keepdims=True)
+    word_given_topic = _kernels.m_step((rng.random((n_topics, n_words)) + 1e-3).T).T
     doc_mixtures = np.full((n_topics, n_docs), 1.0 / n_topics).T  # topic-major
     topic_prior = np.full(n_topics, 1.0 / n_topics)
     return PlsaModel(word_given_topic, doc_mixtures, topic_prior, seed=seed)
@@ -248,34 +243,27 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     """One EM iteration; returns the new model and the log-likelihood of
     the *input* model.
 
-    E-step: P(z|d,w) proportional to P(z|d) P(w|z). M-step renormalizes
-    the posterior-weighted counts; ``smoothing`` is added to the P(w|z)
-    numerators. A topic with zero total mass is reset to a uniform row,
-    a document with zero mass to the uniform mixture.
+    E-step: P(z|d,w) proportional to P(z|d) P(w|z). M-step: ``m_step``
+    renormalizes the posterior-weighted counts of each distribution, with
+    ``smoothing`` (a pseudo-count >= 0) added to those of P(w|z). A topic,
+    a document or a prior without mass is reset to uniform.
 
     The new mixtures are the transpose of a topic-major (K, N) array, the
     layout the kernel gathers them from in the next step.
     """
-    n_topics, n_words = model.word_given_topic.shape
     nwz, nzd, nz, ll = _kernels.em_sufficient_stats(*_kernel_args(model, X))
-
-    nwz = nwz + smoothing
-    row_mass = nwz.sum(axis=1)
-    word_given_topic = np.empty_like(nwz)
-    for k in range(n_topics):
-        if row_mass[k] <= 0.0:
-            warnings.warn(f"topic {k} lost all mass; reset to uniform",
-                          RuntimeWarning, stacklevel=2)
-            word_given_topic[k] = 1.0 / n_words
-        else:
-            word_given_topic[k] = nwz[k] / row_mass[k]
-
-    topic_doc = _kernels.doc_m_step(nzd.T)  # (K, N), one contiguous row per topic
-
-    nz_total = nz.sum()
-    topic_prior = nz / nz_total if nz_total > 0 else np.full(n_topics, 1.0 / n_topics)
-
-    new_model = PlsaModel(word_given_topic, topic_doc.T, topic_prior,
+    for k in np.flatnonzero(nz + smoothing <= 0):  # the rows m_step resets
+        warnings.warn(f"topic {k} lost all mass; reset to uniform",
+                      RuntimeWarning, stacklevel=2)
+    # m_step normalizes columns: one per topic of the (M, K) transpose of
+    # the smoothed counts, one per document of the (K, N) totals, and P(z)
+    # as one (K, 1) column. Smoothing in place keeps P(w|z) in the array the
+    # kernel took before the E-step's blocks: a new array per step moves the
+    # heap layout, and with it how often the E-step's blocks page-fault.
+    nwz += smoothing
+    new_model = PlsaModel(_kernels.m_step(nwz.T).T,
+                          _kernels.m_step(nzd.T).T,
+                          _kernels.m_step(nz[:, None])[:, 0],
                           seed=model.seed, vocab_hash=model.vocab_hash)
     return new_model, ll
 
@@ -293,7 +281,7 @@ def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
         model.vocab_hash = vocab.digest()
     prev_ll = None
     for n_iters in range(1, cfg.max_iters + 1):
-        model, ll = em_step(model, X, smoothing=cfg.smoothing)
+        model, ll = em_step(model, X)
         if prev_ll is not None and abs(ll - prev_ll) / max(abs(prev_ll), 1.0) < cfg.tol:
             break
         prev_ll = ll

@@ -183,7 +183,7 @@ def per_topic_fold_in(rows, cols, vals, word_given_topic, max_iters, tol,
         totals = np.empty((n_topics, len(docs)))
         for k, q_k in enumerate(q):
             totals[k] = np.bincount(doc_of, weights=q_k, minlength=len(docs))
-        new = _kernels.doc_m_step(totals)
+        new = _kernels.m_step(totals)
         done = np.abs(new - mix).max(axis=0) < tol
         mix = new
         theta[docs[done]] = mix[:, done].T

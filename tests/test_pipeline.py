@@ -270,6 +270,8 @@ class _StubTagHandler(BaseHTTPRequestHandler):
         "bad": {"tags": [{"tag": "dog"}]},
         "e": {"tags": [{"tag": "dog", "confidence": 0.5}]},
         "e#f": {"tags": [{"tag": "cat", "confidence": 0.5}]},
+        "liar": {"image_id": "a", "collection_id": "u2",
+                 "tags": [{"tag": "cow", "confidence": 0.4}]},
     }
 
     def do_GET(self):
@@ -386,6 +388,34 @@ class TestFetchTags:
         assert failures == [
             (i, "id is a dot segment" if i in (".", "..") else "HTTP 404")
             for i in ids if i != "e#f"]
+
+    def test_record_naming_another_image_fails_its_id(self, stub, stub_server):
+        """``liar`` answers with the record of ``a``: it is not filed under
+        ``a``, and ``a`` itself still loads with its own collection."""
+        records, failures = fetch_tags(stub_server, ["liar", "a"])
+        assert records.image_ids == ["a"]
+        assert (records.collection_id(0), records.record_tags(0)) == (
+            "u1", [("dog", 0.9)])
+        assert failures == [("liar", "bad response: record names image 'a'")]
+        assert stub.paths == ["/liar", "/a"]
+
+    def test_empty_id_fails_without_a_request(self, stub, stub_server):
+        """The empty id would ask for the endpoint itself."""
+        records, failures = fetch_tags(stub_server, ["", "a"])
+        assert records.image_ids == ["a"]
+        assert failures == [("", "id is empty")]
+        assert stub.paths == ["/a"]
+
+    def test_cli_rejects_ids_from_two_sources(self, stub, stub_server,
+                                              tmp_path, capsys):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_text("b\n")
+        assert main(["fetch-tags", "a", "--ids-file", str(ids_file),
+                     "--endpoint", stub_server]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--ids-file" in err
+        assert "arguments" in err and "Traceback" not in err
+        assert stub.paths == []
 
     def test_empty_ids_rejected(self, stub_server):
         with pytest.raises(ValidationError):

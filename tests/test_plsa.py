@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from phototopics import _kernels
 from phototopics.corpus import Vocabulary
 from phototopics.exceptions import ValidationError
 from phototopics.plsa import (
+    DEFAULT_SMOOTHING,
     PlsaModel,
     TrainConfig,
     assign_topic,
@@ -72,6 +74,38 @@ class TestEmStep:
         np.testing.assert_allclose(new.word_given_topic[0], empirical,
                                    atol=1e-12, rtol=0)
         np.testing.assert_allclose(new.doc_mixtures, 1.0, atol=1e-12)
+
+    def test_topic_without_mass_reset_to_uniform(self):
+        """No document gives topic 1 any weight, so without smoothing its
+        counts are all 0: its row becomes uniform over the M words, its
+        prior 0, and one warning names it."""
+        X = make_corpus([[1, 0], [1, 1], [0, 1]])
+        model = PlsaModel(np.full((2, 3), 1 / 3), np.array([[1.0, 0.0], [1.0, 0.0]]),
+                          np.array([0.5, 0.5]), seed=0)
+        with pytest.warns(RuntimeWarning) as caught:
+            new, _ll = em_step(model, X, smoothing=0.0)
+        assert [str(w.message) for w in caught] == [
+            "topic 1 lost all mass; reset to uniform"]
+        np.testing.assert_array_equal(
+            new.word_given_topic, [[0.25, 0.5, 0.25], [1 / 3, 1 / 3, 1 / 3]])
+        np.testing.assert_array_equal(new.topic_prior, [1.0, 0.0])
+
+    @pytest.mark.parametrize("n_topics", [2, 3, 8])
+    def test_word_given_topic_is_smoothed_counts_over_row_sums(self, n_topics):
+        """For K >= 2 the M-step of P(w|z) gives the bits of dividing each
+        smoothed row of the kernel's counts by its numpy sum; 300 words
+        take numpy's pairwise sum past one 128-element block."""
+        rng = np.random.default_rng(n_topics)
+        X = random_corpus(rng, max_docs=40, max_words=300)
+        X = make_corpus(np.vstack([dense(X)] * (300 // X.n_words + 1)))
+        model = init_model(n_topics, X.n_words, seed=3, n_docs=X.n_docs)
+        nwz = _kernels.em_sufficient_stats(X.rows, X.cols, X.vals,
+                                           model.word_given_topic,
+                                           model.doc_mixtures)[0]
+        smoothed = nwz + DEFAULT_SMOOTHING
+        new, _ll = em_step(model, X)
+        assert np.array_equal(new.word_given_topic,
+                              smoothed / smoothed.sum(axis=1, keepdims=True))
 
     def test_monotone_log_likelihood(self):
         rng = np.random.default_rng(5)
@@ -141,7 +175,7 @@ class TestEmStep:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field", ["tol", "smoothing"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -191,7 +225,7 @@ class TestTrain:
         for _ in range(n_iters):
             nwz, nzd, nz, _ll = reference_em_stats(X.rows, X.cols, X.vals,
                                                    pwz, pzd)
-            nwz = nwz + cfg.smoothing
+            nwz = nwz + DEFAULT_SMOOTHING
             pwz = nwz / nwz.sum(axis=1, keepdims=True)
             pzd = nzd / nzd.sum(axis=1, keepdims=True)
             prior = nz / nz.sum()
