@@ -21,10 +21,10 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
 
     Entry ``i`` gives word ``rows[i]`` the weight ``vals[i]`` in document
     ``cols[i]``; the entries must be sorted by document, as a
-    ``CooccurrenceMatrix`` keeps them. Returns (nwz, nzd, nz, ll) where
-    ll is the log-likelihood of the *input* parameters over the entries.
-    ``nzd`` is the N x K transpose view of a (K, N) array, the layout
-    ``m_step`` normalizes.
+    ``CooccurrenceMatrix`` keeps them. Returns (nwz, nzd, nz, ll): ll is
+    the log-likelihood of the *input* parameters over the entries, the
+    package's only one; ``nzd`` is the N x K transpose view of a (K, N)
+    array, the layout ``m_step`` normalizes.
     """
     n_topics, n_words = word_given_topic.shape
     nwz = np.zeros((n_topics, n_words))
@@ -34,24 +34,12 @@ def em_sufficient_stats(rows, cols, vals, word_given_topic, doc_mixtures):
             rows, cols, vals, len(doc_mixtures), n_topics):
         q, safe = _posterior(per_doc, doc_mixtures.T[:, docs],
                              word_given_topic.take(rows_b, axis=1))
-        ll += _log_likelihood(vals_b, safe)
+        ll += float(np.sum(vals_b * np.log(safe)))
         q *= vals_b / safe
         nzd[:, docs] = np.add.reduceat(q, starts, axis=1)
         for k, q_k in enumerate(q):
             nwz[k] += np.bincount(rows_b, weights=q_k, minlength=n_words)
     return nwz, nzd.T, nwz.sum(axis=1), ll
-
-
-def em_log_likelihood(rows, cols, vals, word_given_topic, doc_mixtures):
-    """The ``ll`` of ``em_sufficient_stats`` for the same input, computed
-    the same way but without the totals."""
-    ll = 0.0
-    for docs, rows_b, vals_b, per_doc, _ in _blocks(
-            rows, cols, vals, len(doc_mixtures), len(word_given_topic)):
-        ll += _log_likelihood(vals_b, _posterior(
-            per_doc, doc_mixtures.T[:, docs],
-            word_given_topic.take(rows_b, axis=1))[1])
-    return ll
 
 
 def m_step(counts):
@@ -109,10 +97,6 @@ def _row_sum(a):
     added in row order; ``sum`` would add it pairwise, which would give a
     lone entry or document other bits."""
     return a.sum(axis=0) if a.shape[1] != 1 else np.cumsum(a, axis=0)[-1]
-
-
-def _log_likelihood(vals, safe):
-    return float(np.sum(vals * np.log(safe)))
 
 
 def fold_in_kernel(rows, vals, word_given_topic, max_iters, tol,

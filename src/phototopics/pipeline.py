@@ -281,10 +281,11 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     path segment (RFC 3986, section 2.1), and expects a tag-record JSON
     object back. The empty id and the ids ``.`` and ``..`` would name the
     endpoint itself or its parent (section 3.3), so each fails without a
-    request. A record is filed under the id it was asked for: one that
-    names another ``image_id`` fails that id. Per-id failures are
-    collected and returned alongside the successful records; only an
-    unreachable endpoint aborts.
+    request, as does every repeat of an id after its first. A record is
+    filed under the id it was asked for: one that names another
+    ``image_id`` fails that id. Per-id failures are collected and
+    returned alongside the successful records; only an unreachable
+    endpoint aborts.
     """
     import urllib.request
     from http.client import HTTPException
@@ -297,9 +298,13 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
             raise ValueError("not an http(s) URL naming a host and port")
     except ValueError as exc:
         raise ValidationError(f"bad endpoint {endpoint!r}: {exc}") from exc
-    records, failures = TagTableBuilder(), []
+    records, failures, seen = TagTableBuilder(), [], set()
     base = endpoint.rstrip("/")
     for image_id in image_ids:
+        if image_id in seen:  # its record would be filed twice
+            failures.append((image_id, "id is repeated"))
+            continue
+        seen.add(image_id)
         if image_id in ("", ".", ".."):  # the endpoint; dot segments a client resolves
             failures.append((image_id, "id is a dot segment" if image_id else
                              "id is empty"))

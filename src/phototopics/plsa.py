@@ -216,10 +216,10 @@ def init_model(n_topics: int, n_words: int, seed: int,
 def log_likelihood(model: PlsaModel, X: CooccurrenceMatrix) -> float:
     """Sum of X(w,d) * log P(w|d); zero-probability terms are floored.
 
-    The kernel computes it as the E-step does, so it equals the
-    log-likelihood ``em_step`` reports for the same model.
+    It is the log-likelihood of one E-step, the one ``em_step`` reports
+    for the same model; the step's totals are discarded.
     """
-    return _kernels.em_log_likelihood(*_kernel_args(model, X))
+    return _kernels.em_sufficient_stats(*_kernel_args(model, X))[3]
 
 
 def _check_words(model: PlsaModel, X: CooccurrenceMatrix) -> None:
@@ -251,6 +251,8 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     The new mixtures are the transpose of a topic-major (K, N) array, the
     layout the kernel gathers them from in the next step.
     """
+    if not 0 <= smoothing < math.inf:
+        raise ValidationError(f"smoothing must be finite and >= 0; got {smoothing!r}")
     nwz, nzd, nz, ll = _kernels.em_sufficient_stats(*_kernel_args(model, X))
     for k in np.flatnonzero(nz + smoothing <= 0):  # the rows m_step resets
         warnings.warn(f"topic {k} lost all mass; reset to uniform",

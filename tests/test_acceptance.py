@@ -131,6 +131,7 @@ def test_criterion_7_lin_similarity():
     _report(7, "Lin similarity toy value, symmetry, LCS oracle on 200 DAGs")
 
 
+@pytest.mark.filterwarnings("ignore:.*floored with epsilon")
 def test_criterion_8_coherence_oracle_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(100):

@@ -194,6 +194,7 @@ def _random_docs(rng, max_docs=10, max_words=8):
 
 
 class TestOracleEquivalence:
+    @pytest.mark.filterwarnings("ignore:.*floored with epsilon")
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
         stats_cfg = CoherenceConfig(top_n=2, epsilon=EPS)
@@ -208,6 +209,7 @@ class TestOracleEquivalence:
             assert avg_npmi(words, stats, stats_cfg) == pytest.approx(
                 exp_npmi, abs=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:.*floored with epsilon")
     def test_permutation_invariance(self):
         rng = np.random.default_rng(17)
         for _ in range(20):

@@ -406,6 +406,14 @@ class TestFetchTags:
         assert failures == [("", "id is empty")]
         assert stub.paths == ["/a"]
 
+    def test_repeated_id_fetched_once(self, stub, stub_server):
+        """A repeat would file a second record under the same id, which
+        ``organize`` rejects; it fails without a request instead."""
+        records, failures = fetch_tags(stub_server, ["a", "b", "a"])
+        assert stub.paths == ["/a", "/b"]
+        assert records.image_ids == ["a", "b"]
+        assert failures == [("a", "id is repeated")]
+
     def test_cli_rejects_ids_from_two_sources(self, stub, stub_server,
                                               tmp_path, capsys):
         ids_file = tmp_path / "ids.txt"

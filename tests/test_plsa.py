@@ -118,12 +118,37 @@ class TestEmStep:
                 assert ll >= prev - 1e-9
             prev = ll
 
-    def test_returns_input_model_likelihood(self):
+    def test_returns_input_model_likelihood(self, monkeypatch):
+        """``em_step`` reports the bits of ``log_likelihood`` of the input
+        model: on a 2 x 2 corpus, and over many blocks with documents
+        without entries first, in the middle and last."""
         X = make_corpus([[1, 0], [0, 1]])
         model = init_model(2, 2, seed=0, n_docs=2)
         expected = log_likelihood(model, X)
         _new, ll = em_step(model, X)
-        assert ll == pytest.approx(expected, abs=1e-12)
+        assert ll == expected
+
+        monkeypatch.setattr(_kernels, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 3, size=(25, 40)) * (rng.random((25, 40)) < 0.4)
+        counts[:, [0, 20, 39]] = 0
+        X = make_corpus(counts)
+        for n_topics in (1, 3, 9):
+            assert X.nnz > 2 * max(1, 64 // n_topics)  # several blocks
+            model = init_model(n_topics, X.n_words, seed=n_topics, n_docs=X.n_docs)
+            model, _ll = em_step(model, X)  # mixtures that differ by document
+            expected = log_likelihood(model, X)
+            _new, ll = em_step(model, X)
+            assert ll == expected, n_topics
+
+    @pytest.mark.parametrize("smoothing", [float("nan"), float("inf"),
+                                           float("-inf"), -1.0])
+    def test_smoothing_not_finite_or_negative_rejected(self, smoothing):
+        X = make_corpus([[1, 0], [1, 1], [0, 1]])
+        model = init_model(2, 3, seed=0, n_docs=2)
+        with pytest.raises(ValidationError,
+                           match="smoothing must be finite and >= 0"):
+            em_step(model, X, smoothing=smoothing)
 
     def test_disjoint_two_doc_fixed_point(self):
         X = make_corpus([[1, 0], [0, 1]])
@@ -235,6 +260,14 @@ class TestTrain:
                           (model.topic_prior, prior)):
             np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
         assert model.final_log_likelihood == pytest.approx(ll, rel=1e-12)
+
+    def test_final_log_likelihood_is_em_step_of_returned_model(self):
+        """The stored value is the one a further ``em_step`` of the returned
+        model reports, bit for bit: what a reader of ``model.json`` can
+        recount."""
+        X, _labels = planted_corpus()
+        model = train(X, TrainConfig(n_topics=3, seed=2))
+        assert model.final_log_likelihood == em_step(model, X)[1]
 
     def test_vocab_hash_bound(self):
         X = make_corpus([[1, 0], [0, 1]])
