@@ -178,6 +178,8 @@ def cmd_fetch_tags(args) -> int:
     else:
         ids = list(args.ids)
     api_key = os.environ.get(args.api_key_env) if args.api_key_env else None
+    if args.api_key_env and not api_key:  # each request would fail as HTTP 401
+        raise ValidationError(f"environment variable {args.api_key_env} is not set")
     records, failures = pl.fetch_tags(args.endpoint, ids, api_key=api_key)
     with _open_out(args.output) as out:
         for j, image_id in enumerate(records.image_ids):

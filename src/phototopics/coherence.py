@@ -15,6 +15,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .exceptions import ValidationError
+from .plsa import _is_count
 
 DEFAULT_TOP_N = 10
 DEFAULT_EPSILON = 1e-12
@@ -28,8 +29,8 @@ class CoherenceConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.top_n < 2:
-            raise ValidationError("top_n must be >= 2")
+        if not _is_count(self.top_n, 2):
+            raise ValidationError(f"top_n must be an integer >= 2; got {self.top_n!r}")
         # a pair of words both absent from the reference corpus divides by
         # epsilon squared, so the square must be a positive finite number
         if not (self.epsilon > 0 and 0.0 < self.epsilon * self.epsilon < math.inf):

@@ -199,72 +199,29 @@ def organize_collection(records: TagTable, model: PlsaModel,
     )
 
 
-# The manifest is the text ``json.dumps(payload, sort_keys=True, indent=2)``
-# writes, built here from the pieces json's C encoder uses: an indent makes
-# ``json.dumps`` fall back to its pure-Python encoder.
-_string = json.encoder.encode_basestring_ascii
-
-# One entry of the manifest's "images" list, nested two levels deep, keys sorted.
-_IMAGE_FIELDS = ('\n      "image_id": %s,\n      "mixture": [\n        %s\n      ],'
-                 '\n      "topic": %s\n    }')
-_IMAGE = "{" + _IMAGE_FIELDS
-_CATEGORIZED_IMAGE = '{\n      "category": %s,\n      "category_score": %s,' + _IMAGE_FIELDS
-_MIXTURE_SEPARATOR = ",\n        "
-
-
-def _layout(items: list[str], depth: int, brackets: str) -> str:
-    """Encoded items as ``json.dumps(indent=2)`` lays out an array or object
-    nested ``depth`` levels deep."""
-    if not items:
-        return brackets
-    pad = "\n" + "  " * (depth + 1)
-    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{brackets[1]}"
-
-
-def _object(fields: list[tuple[str, str]], depth: int) -> str:
-    """``fields`` are (key, encoded value) pairs, sorted by key."""
-    return _layout([f"{_string(k)}: {v}" for k, v in fields], depth, "{}")
-
-
-def _images(collection: OrganizedCollection) -> list[str]:
-    """The encoded entries of the "images" list, in image-id order."""
-    mixtures = collection.mixtures
-    n_topics = mixtures.shape[1]
-    # json writes a finite float as its repr, others as NaN or +-Infinity
-    floats = list(map(float.__repr__ if np.isfinite(mixtures).all()
-                      else json.dumps, mixtures.ravel().tolist()))
-    rows = [_MIXTURE_SEPARATOR.join(floats[i:i + n_topics])
-            for i in range(0, len(floats), n_topics)]
-    topics = {t: _string(t) for t in set(collection.topics)}
-    categories = collection.categories or repeat(None)
-    return [
-        _IMAGE % (_string(image_id), row, topics[topic]) if category is None
-        else _CATEGORIZED_IMAGE % (_string(category[0]), json.dumps(category[1]),
-                                   _string(image_id), row, topics[topic])
-        for image_id, row, topic, category in zip(
-            collection.image_ids, rows, collection.topics, categories)]
-
-
 def emit_manifest(collection: OrganizedCollection, sink) -> int:
-    """Write the manifest as deterministic JSON; returns bytes written.
+    """Write the manifest as deterministic one-line JSON; returns bytes written.
 
     Keys and image ids are sorted so identical inputs always produce
     byte-identical output.
     """
-    index = [
-        (topic, _object([(bucket, _layout(list(map(_string, ids)), 3, "[]"))
-                         for bucket, ids in sorted(buckets.items())], 2))
-        for topic, buckets in sorted(collection.index.items())
-    ]
-    text = _object([
-        ("collection_id", _string(collection.collection_id)),
-        ("coverage", json.dumps(collection.coverage)),
-        ("format_version", json.dumps(MANIFEST_FORMAT_VERSION)),
-        ("images", _layout(_images(collection), 1, "[]")),
-        ("index", _object(index, 1)),
-        ("model_hash", _string(collection.model_hash)),
-    ], 0)
-    data = text.encode("utf-8")
+    images = []
+    for image_id, row, topic, category in zip(
+            collection.image_ids, collection.mixtures.tolist(), collection.topics,
+            collection.categories or repeat(None)):
+        image = {"image_id": image_id, "mixture": row, "topic": topic}
+        if category is not None:
+            image["category"], image["category_score"] = category
+        images.append(image)
+    payload = {
+        "collection_id": collection.collection_id,
+        "coverage": collection.coverage,
+        "format_version": MANIFEST_FORMAT_VERSION,
+        "images": images,
+        "index": collection.index,
+        "model_hash": collection.model_hash,
+    }
+    data = json.dumps(payload, sort_keys=True).encode("utf-8")
     try:
         sink.write(data)
     except OSError as exc:

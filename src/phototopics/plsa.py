@@ -34,9 +34,9 @@ ROW_SUM_ATOL = 1e-9
 MODEL_FORMAT_VERSION = 1
 
 
-def _is_count(value) -> bool:
-    """True for an integer >= 0; JSON ``true`` and ``false`` are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+def _is_count(value, minimum: int = 0) -> bool:
+    """True for an integer >= ``minimum``; a bool or a float such as 2.0 is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 def _numbers(value, name: str, ndim: int) -> np.ndarray:
@@ -55,10 +55,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValidationError("n_topics must be >= 1")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
+        for name in ("n_topics", "max_iters"):
+            if not _is_count(getattr(self, name), 1):
+                raise ValidationError(
+                    f"{name} must be an integer >= 1; got {getattr(self, name)!r}")
         if not 0 < self.tol < math.inf:
             raise ValidationError(f"tol must be finite and > 0; got {self.tol!r}")
         if not _is_count(self.seed):
@@ -357,8 +357,8 @@ def top_words(model: PlsaModel, vocab: Vocabulary, topic: int,
     """Highest-probability words of one topic, ties broken lexicographically."""
     if not 0 <= topic < model.n_topics:
         raise ValidationError(f"topic {topic} out of range")
-    if n_top < 1:
-        raise ValidationError("n_top must be >= 1")
+    if not _is_count(n_top, 1):
+        raise ValidationError(f"n_top must be an integer >= 1; got {n_top!r}")
     check_vocabulary(model, vocab)
     probs = model.word_given_topic[topic]
     order = np.lexsort((vocab.rank, -probs))[:n_top]

@@ -110,7 +110,7 @@ def test_full_cli_chain(tmp_path, collection_file, capsys):
 def test_organize_manifest_is_json_dumps_of_its_payload(tmp_path, collection_file,
                                                        trained):
     """With names and category scores, ``organize`` writes the bytes
-    ``json.dumps(payload, sort_keys=True, indent=2)`` writes for the
+    ``json.dumps(payload, sort_keys=True)`` writes for the
     payload rebuilt from ``fold-in``'s mixtures; an image id that needs
     escaping and images below the threshold included."""
     vocab_path, model_path = trained
@@ -168,7 +168,7 @@ def test_organize_manifest_is_json_dumps_of_its_payload(tmp_path, collection_fil
     assert 0 < covered < len(images)
     assert sum("category" in image for image in images) >= 3
     assert manifest_path.read_bytes() == json.dumps(
-        payload, sort_keys=True, indent=2).encode()
+        payload, sort_keys=True).encode()
 
 
 def test_missing_file_exits_3(tmp_path):

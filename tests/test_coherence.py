@@ -103,6 +103,11 @@ class TestCoherenceConfig:
         with pytest.raises(ValidationError, match="epsilon"):
             CoherenceConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("top_n", [2.5, 3.0, float("inf"), "3", None])
+    def test_top_n_not_an_integer_rejected(self, top_n):
+        with pytest.raises(ValidationError, match="^top_n must be an integer >= 2"):
+            CoherenceConfig(top_n=top_n)
+
     def test_smallest_usable_epsilon_scores_absent_pairs(self):
         stats = build_corpus_stats(["a b", "c"], vocab_filter={"x", "y"})
         cfg = CoherenceConfig(epsilon=1e-150)

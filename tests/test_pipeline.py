@@ -12,7 +12,7 @@ import pytest
 from phototopics import corpus
 from phototopics.cli import main
 from phototopics.corpus import Vocabulary, vectorize_record
-from phototopics.exceptions import TransportError, ValidationError
+from phototopics.exceptions import InputOutputError, TransportError, ValidationError
 from phototopics.naming import TopicNaming
 from phototopics.pipeline import (
     CategoryScores,
@@ -258,6 +258,18 @@ class TestEmitManifest:
         assert payload["index"]["Null"][""] == ["a"]
         assert "category" not in payload["images"][0]
 
+    def test_write_error_is_an_input_output_error(self):
+        class FullDisk:
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        model, vocab = _toy_model_and_vocab()
+        coll = organize_collection(tag_table([("a", "u1", [("dog", 0.9)])]),
+                                   model, vocab, names=_names())
+        with pytest.raises(InputOutputError, match=r"^manifest write failed: "
+                           r"\[Errno 28\] No space left on device$"):
+            emit_manifest(coll, FullDisk())
+
 
 class _StubTagHandler(BaseHTTPRequestHandler):
     fixed = {
@@ -424,6 +436,29 @@ class TestFetchTags:
         assert err.startswith("error: ") and "--ids-file" in err
         assert "arguments" in err and "Traceback" not in err
         assert stub.paths == []
+
+    @pytest.mark.parametrize("value", [None, ""])
+    def test_cli_rejects_an_unset_api_key_variable(self, value, stub, stub_server,
+                                                   monkeypatch, capsys):
+        """An unset or empty variable would send every request without a
+        key, and each would fail as HTTP 401; none is sent."""
+        if value is None:
+            monkeypatch.delenv("TAGGER_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TAGGER_KEY", value)
+        assert main(["fetch-tags", "a", "--endpoint", stub_server,
+                     "--api-key-env", "TAGGER_KEY"]) == 2
+        assert capsys.readouterr().err == (
+            "error: environment variable TAGGER_KEY is not set\n")
+        assert stub.paths == []
+
+    def test_cli_sends_the_api_key_of_its_variable(self, stub, stub_server,
+                                                   monkeypatch, tmp_path):
+        monkeypatch.setenv("TAGGER_KEY", "k3y")
+        assert main(["fetch-tags", "a", "--endpoint", stub_server,
+                     "--api-key-env", "TAGGER_KEY",
+                     "-o", str(tmp_path / "records.jsonl")]) == 0
+        assert (stub.paths, stub.auth) == (["/a"], ["Bearer k3y"])
 
     def test_empty_ids_rejected(self, stub_server):
         with pytest.raises(ValidationError):

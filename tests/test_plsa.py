@@ -206,6 +206,12 @@ class TestTrainConfig:
         with pytest.raises(ValidationError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_topics", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, float("inf"), True, "3", None])
+    def test_count_not_an_integer_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer >= 1"):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
     def test_seed_not_a_count_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
@@ -432,6 +438,13 @@ class TestTopWords:
         order = sorted(range(60), key=lambda i: (-p[i], words[i]))
         assert top_words(model, vocab, 0, 25) == \
             [(words[i], float(p[i])) for i in order[:25]]
+
+    @pytest.mark.parametrize("n_top", [2.5, 1.0, True, "2", None])
+    def test_n_top_not_an_integer_rejected(self, n_top):
+        vocab = Vocabulary(("x", "y", "z"))
+        model = self._model([0.5, 0.3, 0.2])
+        with pytest.raises(ValidationError, match="^n_top must be an integer >= 1"):
+            top_words(model, vocab, 0, n_top)
 
     def test_truncates_when_q_exceeds_vocab(self):
         vocab = Vocabulary(("a", "b"))

@@ -96,7 +96,8 @@ def test_manifest_independent_of_record_order(docs, data, names, threshold,
 
 
 def json_dumps_manifest(collection):
-    """The manifest as ``json.dumps`` writes its payload."""
+    """The manifest as ``json.dumps(payload, sort_keys=True)`` writes its
+    payload: one line, through json's C encoder."""
     payload = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "collection_id": collection.collection_id,
@@ -117,7 +118,7 @@ def json_dumps_manifest(collection):
         ],
         "index": collection.index,
     }
-    return json.dumps(payload, sort_keys=True, indent=2).encode("utf-8")
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 # quotes, backslashes, control characters and non-ASCII text
