@@ -14,8 +14,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .corpus import check_count
 from .exceptions import ValidationError
-from .plsa import _is_count
 
 DEFAULT_TOP_N = 10
 DEFAULT_EPSILON = 1e-12
@@ -29,8 +29,7 @@ class CoherenceConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not _is_count(self.top_n, 2):
-            raise ValidationError(f"top_n must be an integer >= 2; got {self.top_n!r}")
+        object.__setattr__(self, "top_n", check_count(self.top_n, "top_n", 2))
         # a pair of words both absent from the reference corpus divides by
         # epsilon squared, so the square must be a positive finite number
         if not (self.epsilon > 0 and 0.0 < self.epsilon * self.epsilon < math.inf):
@@ -73,14 +72,14 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
     The stream is read line by line, and the hit sets of at most
     ``_CHUNK_DOCS`` documents are kept at a time. Each chunk becomes one
     document x word 0/1 incidence matrix B, and B.T @ B adds its pair
-    counts. For S scored words the memory held is one float32 chunk
-    of ``_CHUNK_DOCS`` x S plus S x S int64 counts: about 0.7 and 0.24 MB
-    at S = 174. Every entry of a chunk's product is an integer no larger
+    counts; B is 0/1, so their diagonal is each word's document count.
+    For S scored words the memory held is one float32 chunk of
+    ``_CHUNK_DOCS`` x S plus S x S int64 counts: about 0.7 and 0.24 MB at
+    S = 174. Every entry of a chunk's product is an integer no larger
     than ``_CHUNK_DOCS``, which float32 holds exactly.
     """
     words = sorted(vocab_filter)
     word_id = {w: i for i, w in enumerate(words)}
-    df = np.zeros(len(words), dtype=np.int64)
     joint = np.zeros((len(words), len(words)), dtype=np.int64)
     n_docs = 0
     chunk: list[set[str]] = []
@@ -91,11 +90,12 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
         n_docs += 1
         chunk.append(vocab_filter.intersection(tokens))
         if len(chunk) == _CHUNK_DOCS:
-            _count_chunk(chunk, word_id, df, joint)
+            _count_chunk(chunk, word_id, joint)
             chunk = []
-    _count_chunk(chunk, word_id, df, joint)
+    _count_chunk(chunk, word_id, joint)
     if n_docs == 0:
         raise ValidationError("reference corpus is empty")
+    df = np.diagonal(joint)
     hit = np.flatnonzero(df)
     rows, cols = np.nonzero(np.triu(joint, 1))
     return CorpusStats(
@@ -105,17 +105,15 @@ def build_corpus_stats(stream, vocab_filter) -> CorpusStats:
             rows.tolist(), cols.tolist(), joint[rows, cols].tolist())})
 
 
-def _count_chunk(chunk: list[set[str]], word_id: dict[str, int],
-                 df: np.ndarray, joint: np.ndarray) -> None:
-    """Add the document and pair frequencies of one chunk of hit sets."""
+def _count_chunk(chunk: list[set[str]], word_id: dict[str, int], joint: np.ndarray) -> None:
+    """Add one chunk's pair counts; a word's pair with itself is its df."""
     lengths = [len(hits) for hits in chunk]
     ids = np.fromiter(map(word_id.__getitem__, chain.from_iterable(chunk)),
                       dtype=np.intp, count=sum(lengths))
     if not ids.size:
         return
-    incidence = np.zeros((len(chunk), len(df)), dtype=np.float32)
+    incidence = np.zeros((len(chunk), len(word_id)), dtype=np.float32)
     incidence[np.repeat(np.arange(len(chunk)), lengths), ids] = 1.0
-    df += np.bincount(ids, minlength=len(df))
     joint += (incidence.T @ incidence).astype(np.int64)
 
 

@@ -26,6 +26,15 @@ DEFAULT_MIN_COLLECTIONS = 2
 _NOT_A_WORD = "is empty or blank, or contains a line break"
 
 
+def check_count(value, name: str, minimum: int = 0) -> int:
+    """``value``, a Python or numpy integer >= ``minimum``, as an ``int``; anything
+    else, a bool or a float such as 2.0 included, raises ``ValidationError``."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and value >= minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}; got {value!r}")
+    return int(value)
+
+
 def _is_word(token: str) -> bool:
     """True if ``token`` survives a round trip through a vocabulary file."""
     return bool(token.strip()) and "\n" not in token and "\r" not in token
@@ -217,13 +226,14 @@ class CooccurrenceMatrix:
 
     def __init__(self, n_words: int, n_docs: int,
                  rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-        self.n_words = int(n_words)
-        self.n_docs = int(n_docs)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        self.n_words = check_count(n_words, "n_words")
+        self.n_docs = check_count(n_docs, "n_docs")
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        # numpy gives an empty list a float dtype; it holds no index to check
+        if any(a.size and a.dtype.kind not in "iu" for a in (rows, cols)):
+            raise ValidationError("word and document indices must be integers")
+        rows, cols = (a.astype(np.int64, copy=False) for a in (rows, cols))
         vals = np.asarray(vals, dtype=np.float64)
-        if self.n_docs < 0:
-            raise ValidationError(f"n_docs must be >= 0; got {n_docs!r}")
         if not (rows.ndim == cols.ndim == vals.ndim == 1
                 and len(rows) == len(cols) == len(vals)):
             raise ValidationError("rows, cols and vals must be 1-D and of equal length")
@@ -288,8 +298,8 @@ def build_vocabulary(records: TagTable,
     collections. Retained words are sorted lexicographically so the
     vocabulary (and everything derived from it) is reproducible.
     """
-    if min_count < 1 or min_collections < 1:
-        raise ValidationError("min_count and min_collections must be >= 1")
+    min_count = check_count(min_count, "min_count", 1)
+    min_collections = check_count(min_collections, "min_collections", 1)
     n_tags = len(records.tags)
     counts = np.bincount(records.tag_ids, minlength=n_tags)
     pairs = np.unique(records.collection_ids[_record_of_entry(records)] * n_tags

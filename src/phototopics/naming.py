@@ -17,7 +17,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .plsa import DEFAULT_TOP_WORDS, PlsaModel, top_words
 from .corpus import Vocabulary
-from .taxonomy import TaxonomyGraph, max_lin_similarity, read_tsv
+from .taxonomy import TaxonomyGraph, max_lin_similarity, read_tsv, split_ids
 
 NULL_TOPIC_NAME = "Null"
 
@@ -75,7 +75,7 @@ def parse_name_defs(stream) -> list[TopicNameDef]:
         pinned = []
         for raw in fields:
             token, _, synsets = raw.partition(":")
-            pinned.append(tuple(s.strip() for s in synsets.split(",") if s.strip()))
+            pinned.append(split_ids(synsets))
             anchors.append(token.strip().lower())
         defs.append(TopicNameDef(name=name, anchors=(anchors[0], anchors[1]),
                                  pinned_synsets=(pinned[0], pinned[1])))

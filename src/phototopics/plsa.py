@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import _kernels
-from .corpus import CooccurrenceMatrix, Vocabulary, decode_json
+from .corpus import CooccurrenceMatrix, Vocabulary, check_count, decode_json
 from .exceptions import NumericError, ValidationError
 
 DEFAULT_TOPICS = 8
@@ -34,16 +34,11 @@ ROW_SUM_ATOL = 1e-9
 MODEL_FORMAT_VERSION = 1
 
 
-def _is_count(value, minimum: int = 0) -> bool:
-    """True for an integer >= ``minimum``; a bool or a float such as 2.0 is not."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
-
-
 def _numbers(value, name: str, ndim: int) -> np.ndarray:
     """A JSON list (of lists if ``ndim`` is 2) of numbers, not bools, as floats."""
     items = chain.from_iterable(value) if ndim == 2 else value
     if not set(map(type, items)) <= {int, float}:
-        raise ValidationError(f"malformed model: {name} must hold only numbers")
+        raise ValidationError(f"{name} must hold only numbers")
     return np.array(value, dtype=np.float64)
 
 
@@ -55,14 +50,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_topics", "max_iters"):
-            if not _is_count(getattr(self, name), 1):
-                raise ValidationError(
-                    f"{name} must be an integer >= 1; got {getattr(self, name)!r}")
+        for name, minimum in (("n_topics", 1), ("max_iters", 1), ("seed", 0)):
+            value = check_count(getattr(self, name), name, minimum)
+            object.__setattr__(self, name, value)
         if not 0 < self.tol < math.inf:
             raise ValidationError(f"tol must be finite and > 0; got {self.tol!r}")
-        if not _is_count(self.seed):
-            raise ValidationError(f"seed must be an integer >= 0; got {self.seed!r}")
 
 
 class PlsaModel:
@@ -79,9 +71,9 @@ class PlsaModel:
         self.word_given_topic = np.asarray(word_given_topic, dtype=np.float64)
         self.doc_mixtures = np.asarray(doc_mixtures, dtype=np.float64)
         self.topic_prior = np.asarray(topic_prior, dtype=np.float64)
-        self.seed = seed
+        self.seed = check_count(seed, "seed")
         self.vocab_hash = vocab_hash
-        self.n_iters = n_iters
+        self.n_iters = check_count(n_iters, "n_iters")
         self.final_log_likelihood = final_log_likelihood
 
     @property
@@ -138,14 +130,13 @@ class PlsaModel:
         payload = decode_json(text, "model")
         try:
             version = payload.get("format_version")
-            doc_mixtures = payload.get("doc_mixtures")
-            sizes = (payload["n_topics"], payload["n_words"])
-            if not doc_mixtures:
-                doc_mixtures = np.zeros((0, sizes[0]))
+            sizes = tuple(check_count(payload[name], name, 1)
+                          for name in ("n_topics", "n_words"))
+            doc_mixtures = payload.get("doc_mixtures") or np.zeros((0, sizes[0]))
             ll = payload.get("final_log_likelihood")
             if isinstance(ll, bool) or not isinstance(ll, (int, float, type(None))):
-                raise ValidationError("malformed model: final_log_likelihood must "
-                                      f"be a number or null; got {ll!r}")
+                raise ValidationError(
+                    f"final_log_likelihood must be a number or null; got {ll!r}")
             model = cls(
                 word_given_topic=_numbers(payload["word_given_topic"],
                                           "word_given_topic", 2),
@@ -156,6 +147,8 @@ class PlsaModel:
                 n_iters=payload["n_iters"],
                 final_log_likelihood=float("nan") if ll is None else float(ll),
             )
+        except ValidationError as exc:
+            raise ValidationError(f"malformed model: {exc}") from exc
         except (ValueError, OverflowError, KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"malformed model: {exc!r}") from exc
         if version != MODEL_FORMAT_VERSION:
@@ -164,15 +157,11 @@ class PlsaModel:
                 f"(expected {MODEL_FORMAT_VERSION})")
         if not isinstance(model.vocab_hash, str):
             raise ValidationError("malformed model: vocab_hash must be a string")
-        for name in ("seed", "n_iters"):
-            if not _is_count(getattr(model, name)):
-                raise ValidationError(f"malformed model: {name} must be an integer "
-                                      f">= 0; got {getattr(model, name)!r}")
         shape = model.word_given_topic.shape
         if len(shape) != 2 or 0 in shape:
             raise ValidationError("malformed model: word_given_topic must be a "
                                   "non-empty K x M matrix")
-        if not (all(_is_count(n) for n in sizes) and sizes == shape):
+        if sizes != shape:
             raise ValidationError(
                 f"malformed model: n_topics and n_words {sizes!r} are not the "
                 f"shape of word_given_topic, {shape[0]} x {shape[1]}")
@@ -204,8 +193,9 @@ class PlsaModel:
 def init_model(n_topics: int, n_words: int, seed: int,
                n_docs: int = 0) -> PlsaModel:
     """Seeded random topic-word rows, uniform document mixtures."""
-    if n_topics < 1 or n_words < 1:
-        raise ValidationError("n_topics and n_words must be >= 1")
+    n_topics = check_count(n_topics, "n_topics", 1)
+    n_words = check_count(n_words, "n_words", 1)
+    seed, n_docs = check_count(seed, "seed"), check_count(n_docs, "n_docs")
     rng = np.random.default_rng(seed)
     word_given_topic = _kernels.m_step((rng.random((n_topics, n_words)) + 1e-3).T).T
     doc_mixtures = np.full((n_topics, n_docs), 1.0 / n_topics).T  # topic-major
@@ -355,10 +345,9 @@ def check_vocabulary(model: PlsaModel, vocab: Vocabulary) -> None:
 def top_words(model: PlsaModel, vocab: Vocabulary, topic: int,
               n_top: int = DEFAULT_TOP_WORDS) -> list[tuple[str, float]]:
     """Highest-probability words of one topic, ties broken lexicographically."""
-    if not 0 <= topic < model.n_topics:
-        raise ValidationError(f"topic {topic} out of range")
-    if not _is_count(n_top, 1):
-        raise ValidationError(f"n_top must be an integer >= 1; got {n_top!r}")
+    topic, n_top = check_count(topic, "topic"), check_count(n_top, "n_top", 1)
+    if topic >= model.n_topics:
+        raise ValidationError(f"topic {topic} out of range for {model.n_topics} topics")
     check_vocabulary(model, vocab)
     probs = model.word_given_topic[topic]
     order = np.lexsort((vocab.rank, -probs))[:n_top]

@@ -78,6 +78,11 @@ def read_tsv(stream, what: str, n_fields: int):
         yield lineno, [f.strip() for f in fields]
 
 
+def split_ids(text: str) -> tuple[str, ...]:
+    """The comma-separated synset ids of ``text``, stripped, blanks dropped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def _read_values(stream, what: str, parents) -> dict[str, float]:
     """``synset<TAB>value`` lines, one per synset; each value a finite
     number >= 0."""
@@ -114,8 +119,7 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
         if synset in parents:
             raise ValidationError(
                 f"malformed taxonomy line {lineno}: synset {synset!r} is listed twice")
-        ps = tuple(p.strip() for p in parent_field.split(",") if p.strip())
-        parents[synset] = ps
+        parents[synset] = split_ids(parent_field)
     for s, ps in parents.items():
         for p in ps:
             if p not in parents:
@@ -130,7 +134,7 @@ def load_taxonomy(taxonomy_stream, lexicon_stream,
                     f"taxonomy contains a cycle through edge {p!r} -> {s!r}")
 
     for lineno, (token, synset_field) in read_tsv(lexicon_stream, "lexicon", 2):
-        ids = tuple(s.strip() for s in synset_field.split(",") if s.strip())
+        ids = split_ids(synset_field)
         for s in ids:
             if s not in parents:
                 raise ValidationError(

@@ -10,49 +10,19 @@ from phototopics import plsa
 from phototopics.cli import main
 from phototopics.corpus import Vocabulary
 
-from conftest import ANIMAL_WORDS, FOOD_WORDS, tag_record_line
-
-
-def _write_collection(path):
-    """Synthetic two-topic collection: food images and animal images."""
-    rng = np.random.default_rng(0)
-    lines = []
-    for i in range(120):
-        pool = FOOD_WORDS if i % 2 == 0 else ANIMAL_WORDS
-        tags = rng.choice(pool, size=6, replace=False)
-        lines.append(tag_record_line(f"img{i:03d}", f"u{i % 4}",
-                                     [(t, 0.9) for t in tags]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+from conftest import (
+    ANIMAL_WORDS,
+    FOOD_WORDS,
+    SWEEP_COMMANDS,
+    tag_record_line,
+    taxonomy_files,
+    write_collection,
+)
 
 
 @pytest.fixture()
 def collection_file(tmp_path):
-    return _write_collection(tmp_path / "records.jsonl")
-
-
-def _taxonomy_files(tmp_path):
-    tax_lines = ["root\t", "food\troot", "beverage\tfood",
-                 "animal\troot", "pet\tanimal"]
-    lex_lines = ["food\tfood", "drinks\tbeverage",
-                 "animals\tanimal", "pets\tpet"]
-    ic_lines = ["root\t0.0", "food\t1.0", "beverage\t1.5",
-                "animal\t1.0", "pet\t1.5"]
-    for w in FOOD_WORDS:
-        tax_lines.append(f"n_{w}\tfood")
-        lex_lines.append(f"{w}\tn_{w}")
-        ic_lines.append(f"n_{w}\t2.0")
-    for w in ANIMAL_WORDS:
-        tax_lines.append(f"n_{w}\tpet")
-        lex_lines.append(f"{w}\tn_{w}")
-        ic_lines.append(f"n_{w}\t2.0")
-    tax = tmp_path / "taxonomy.tsv"
-    lex = tmp_path / "lexicon.tsv"
-    ic = tmp_path / "ic.tsv"
-    tax.write_text("\n".join(tax_lines) + "\n")
-    lex.write_text("\n".join(lex_lines) + "\n")
-    ic.write_text("\n".join(ic_lines) + "\n")
-    return tax, lex, ic
+    return write_collection(tmp_path / "records.jsonl")
 
 
 def test_full_cli_chain(tmp_path, collection_file, capsys):
@@ -69,7 +39,7 @@ def test_full_cli_chain(tmp_path, collection_file, capsys):
     assert main(["train", str(collection_file), str(vocab_path),
                  "-o", str(model_path), "--topics", "2", "--seed", "7"]) == 0
 
-    tax, lex, ic = _taxonomy_files(tmp_path)
+    tax, lex, ic = taxonomy_files(tmp_path)
     assert main(["name-topics", str(model_path), str(vocab_path),
                  "-o", str(names_path), "--taxonomy", str(tax),
                  "--lexicon", str(lex), "--ic", str(ic)]) == 0
@@ -310,7 +280,7 @@ def test_negative_seed_exit_2(tmp_path, collection_file, trained, capsys):
 
 def test_ic_and_ic_counts_together_exit_2(tmp_path, trained, capsys):
     vocab_path, model_path = trained
-    tax, lex, ic = _taxonomy_files(tmp_path)
+    tax, lex, ic = taxonomy_files(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["name-topics", str(model_path), str(vocab_path),
               "--taxonomy", str(tax), "--lexicon", str(lex),
@@ -382,7 +352,7 @@ def test_reordered_vocab_exit_2(tmp_path, trained, command):
         w + "\n" for w in reversed(vocab_path.read_text().splitlines())))
     ref_corpus = tmp_path / "ref.txt"
     ref_corpus.write_text(" ".join(FOOD_WORDS) + "\n")
-    tax, lex, ic = _taxonomy_files(tmp_path)
+    tax, lex, ic = taxonomy_files(tmp_path)
     out = tmp_path / "out.json"
     argv = {
         "name-topics": ["name-topics", str(model_path), str(reordered),
@@ -429,7 +399,7 @@ def test_non_finite_tol_exit_2(tmp_path, collection_file, trained, tol):
 def test_failed_open_closes_the_files_already_open(tmp_path, trained,
                                                    monkeypatch):
     vocab_path, model_path = trained
-    tax, _lex, ic = _taxonomy_files(tmp_path)
+    tax, _lex, ic = taxonomy_files(tmp_path)
     opened = []
     real_open = builtins.open
 
@@ -626,65 +596,6 @@ SWEEP_INPUTS = {
         "missing": MISSING, "not-utf8": NOT_UTF8, "empty": b"",
     }),
 }
-
-SWEEP_COMMANDS = {
-    "build-vocab": lambda p: ["build-vocab", p["records"], "-o", p["out"]],
-    "train": lambda p: ["train", p["records"], p["vocab"], "-o", p["out"],
-                        "--topics", "2"],
-    "fold-in": lambda p: ["fold-in", p["model"], p["vocab"], p["records"],
-                          "-o", p["out"]],
-    "name-topics": lambda p: ["name-topics", p["model"], p["vocab"],
-                              "--taxonomy", p["taxonomy"], "--lexicon", p["lexicon"],
-                              "--ic", p["ic"], "--names-file", p["name-defs"],
-                              "-o", p["out"]],
-    "name-topics-counts": lambda p: ["name-topics", p["model"], p["vocab"],
-                                     "--taxonomy", p["taxonomy"],
-                                     "--lexicon", p["lexicon"],
-                                     "--ic-counts", p["counts"], "-o", p["out"]],
-    "coherence": lambda p: ["coherence", p["model"], p["vocab"],
-                            "--ref-corpus", p["ref-corpus"], "-o", p["out"]],
-    "organize": lambda p: ["organize", p["records"], p["model"], p["vocab"],
-                           "-o", p["out"], "--names-result", p["names"],
-                           "--scores", p["scores"]],
-    # the endpoint is never contacted: every case fails on the ids file
-    "fetch-tags": lambda p: ["fetch-tags", "--ids-file", p["ids"],
-                             "--endpoint", "http://127.0.0.1:9", "-o", p["out"]],
-}
-
-
-@pytest.fixture(scope="module")
-def valid_inputs(tmp_path_factory):
-    """One valid file of every kind; each command but fetch-tags exits 0 on them."""
-    d = tmp_path_factory.mktemp("valid")
-    tax, lex, ic = _taxonomy_files(d)
-    paths = {"records": _write_collection(d / "records.jsonl"),
-             "vocab": d / "vocab.txt", "model": d / "model.json",
-             "names": d / "names.json", "taxonomy": tax, "lexicon": lex,
-             "ic": ic, "counts": d / "counts.tsv", "name-defs": d / "defs.tsv",
-             "scores": d / "scores.jsonl", "ref-corpus": d / "ref.txt",
-             "ids": d / "ids.txt"}
-    paths = {k: str(v) for k, v in paths.items()}
-    assert main(["build-vocab", paths["records"], "-o", paths["vocab"],
-                 "--min-count", "2"]) == 0
-    assert main(["train", paths["records"], paths["vocab"], "-o", paths["model"],
-                 "--topics", "2"]) == 0
-    assert main(["name-topics", paths["model"], paths["vocab"],
-                 "--taxonomy", paths["taxonomy"], "--lexicon", paths["lexicon"],
-                 "--ic", paths["ic"], "-o", paths["names"]]) == 0
-    (d / "counts.tsv").write_text("root\t0\nfood\t3\nanimal\t2\n")
-    (d / "defs.tsv").write_text("Food and Drinks\tfood\tdrinks\n"
-                                "Pets and Animals\tpets\tanimals\n")
-    (d / "scores.jsonl").write_text(json.dumps(
-        {"image_id": "img000", "topic": "Food and Drinks",
-         "category": "paella", "score": 0.8}) + "\n")
-    (d / "ref.txt").write_text(" ".join(FOOD_WORDS) + "\n"
-                               + " ".join(ANIMAL_WORDS) + "\n")
-    (d / "ids.txt").write_text("img000\n")
-    for name, argv in SWEEP_COMMANDS.items():
-        if name != "fetch-tags":
-            assert main(argv({**paths, "out": str(d / "out")})) == 0, name
-    return paths
-
 
 @pytest.mark.parametrize("kind, case, command", [
     (kind, case, command)

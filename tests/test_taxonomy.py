@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phototopics.exceptions import ValidationError
+from phototopics.naming import parse_name_defs
 from phototopics.taxonomy import (
     TaxonomyGraph,
     compute_ic,
     lcs,
     lin_similarity,
     load_taxonomy,
+    split_ids,
     word_similarity,
 )
 
@@ -27,6 +29,24 @@ def _load(tax, lex="", ic=None, counts=None):
         ic_stream=io.StringIO(ic) if ic is not None else None,
         counts_stream=io.StringIO(counts) if counts is not None else None,
     )
+
+
+@pytest.mark.parametrize("text, ids", [
+    ("", ()), (" , ,", ()), ("n_dog", ("n_dog",)),
+    (" n_dog ,n_cat, ,n_dog ", ("n_dog", "n_cat", "n_dog")),
+])
+def test_split_ids(text, ids):
+    assert split_ids(text) == ids
+
+
+def test_every_synset_list_is_split_alike():
+    """Taxonomy parents, lexicon senses and name-def pins go through ``split_ids``."""
+    graph = _load("root\t\nn_dog\t root , ,\n", "dog\t n_dog , \n",
+                  ic="root\t0\nn_dog\t1\n")
+    assert graph.parents["n_dog"] == ("root",)
+    assert graph.lemma_index["dog"] == ("n_dog",)
+    defs = parse_name_defs(["Dogs\tdog: n_dog , ,root\tanimal"])
+    assert defs[0].pinned_synsets == (("n_dog", "root"), ())
 
 
 class TestLoadTaxonomy:
