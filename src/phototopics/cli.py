@@ -46,10 +46,6 @@ def _read_names_result(path) -> list[nm.TopicNaming]:
         raise ValidationError(
             "names result must be a list of objects with topic, name, "
             f"scores and duplicate ({exc!r})") from exc
-    if not all(isinstance(n.name, str) for n in names):
-        raise ValidationError("names result: every name must be a string")
-    if not all(type(n.topic) is int for n in names):
-        raise ValidationError("names result: every topic must be an integer")
     return names
 
 

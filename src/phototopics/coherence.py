@@ -14,7 +14,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .corpus import check_count
+from .corpus import check_count, check_number
 from .exceptions import ValidationError
 
 DEFAULT_TOP_N = 10
@@ -30,12 +30,12 @@ class CoherenceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "top_n", check_count(self.top_n, "top_n", 2))
+        epsilon = check_number(self.epsilon, "epsilon", "(0, inf)")
         # a pair of words both absent from the reference corpus divides by
         # epsilon squared, so the square must be a positive finite number
-        if not (self.epsilon > 0 and 0.0 < self.epsilon * self.epsilon < math.inf):
-            raise ValidationError(
-                f"epsilon must be > 0 with a finite, non-zero square; "
-                f"got {self.epsilon!r}")
+        if not 0.0 < epsilon * epsilon < math.inf:
+            raise ValidationError(f"epsilon squared must be finite and > 0; got {epsilon!r}")
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 class CorpusStats:
@@ -43,9 +43,7 @@ class CorpusStats:
 
     def __init__(self, n_docs: int, df: dict[str, int],
                  joint_df: dict[tuple[str, str], int]):
-        if n_docs <= 0:
-            raise ValidationError("reference corpus must contain documents")
-        self.n_docs = n_docs
+        self.n_docs = check_count(n_docs, "n_docs", 1)
         self.df = dict(df)
         self.joint_df = {_pair_key(a, b): c for (a, b), c in joint_df.items()}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -33,6 +34,23 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     if not (integer and value >= minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}; got {value!r}")
     return int(value)
+
+
+def check_number(value, name: str, interval: str = "(-inf, inf)") -> float:
+    """``value``, a finite Python or numpy real (not a bool) in ``interval``,
+    written like ``"[0, 1]"`` or ``"(0, inf)"``, as a ``float``; anything
+    else raises ``ValidationError``."""
+    real = (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+    try:  # float() overflows on an integer past the largest float
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.nan
+    low, high = map(float, interval[1:-1].split(", "))
+    if not (math.isfinite(number) and (low < number if interval[0] == "(" else low <= number)
+            and (number < high if interval[-1] == ")" else number <= high)):
+        raise ValidationError(f"{name} must be a finite number in {interval}; got {value!r}")
+    return number
 
 
 def _is_word(token: str) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import plsa
 from .corpus import (TagTable, TagTableBuilder, Vocabulary, build_cooccurrence,
-                     decode_json, read_json_lines)
+                     check_count, check_number, decode_json, read_json_lines)
 from .exceptions import InputOutputError, TransportError, ValidationError
 from .naming import NULL_TOPIC_NAME, TopicNaming
 from .plsa import DEFAULT_NULL_THRESHOLD, PlsaModel
@@ -74,27 +74,20 @@ def load_category_scores(stream) -> CategoryScores:
         try:
             key = image_id, topic, category = (
                 obj["image_id"], obj["topic"], obj["category"])
-            score = obj["score"]
-        except (KeyError, TypeError) as exc:
+            if not all(isinstance(v, str) for v in key):
+                raise ValidationError("image_id, topic and category must be strings")
+            score = check_number(obj["score"], "score", "[0, 1]")
+            if key in seen:
+                raise ValidationError(f"image {image_id!r}, topic {topic!r}, "
+                                      f"category {category!r} is listed twice")
+        except (KeyError, TypeError, ValidationError) as exc:
             raise ValidationError(f"malformed score line {lineno}: {exc}") from exc
-        if not all(isinstance(v, str) for v in key):
-            raise ValidationError(f"malformed score line {lineno}: image_id, "
-                                  "topic and category must be strings")
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise ValidationError(
-                f"malformed score line {lineno}: score must be a number")
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"score {score} outside [0, 1] at line {lineno}")
-        if key in seen:
-            raise ValidationError(
-                f"malformed score line {lineno}: image {image_id!r}, topic "
-                f"{topic!r}, category {category!r} is listed twice")
         seen.add(key)
         if category not in registry.get(topic, set()):
             offenders.append(f"line {lineno}: {category!r} not registered "
                              f"under topic {topic!r}")
             continue
-        by_image.setdefault(image_id, []).append((topic, category, float(score)))
+        by_image.setdefault(image_id, []).append((topic, category, score))
     if offenders:
         raise ValidationError("unknown categories:\n" + "\n".join(offenders))
     return CategoryScores(by_image=by_image)
@@ -163,9 +156,11 @@ def organize_collection(records: TagTable, model: PlsaModel,
         if image_id in seen:
             raise ValidationError(f"duplicate image_id {image_id!r}")
         seen.add(image_id)
-    if names is not None and [n.topic for n in names] != list(range(model.n_topics)):
+    if names is not None and not (
+            [check_count(n.topic, "topic") for n in names] == list(range(model.n_topics))
+            and all(isinstance(n.name, str) for n in names)):
         raise ValidationError(
-            "naming result must name every topic once, in topic order")
+            "naming result must name every topic once, in topic order, with a string")
     # A topic named "Null" keeps a label of its own: in the manifest
     # "Null" means only "below the threshold".
     topic_names = [f"Topic {k}" for k in range(model.n_topics)]
@@ -247,6 +242,7 @@ def fetch_tags(endpoint: str, image_ids: list[str], api_key: str | None = None,
     import urllib.request
     from http.client import HTTPException
 
+    timeout = check_number(timeout, "timeout", "(0, inf)")
     if not image_ids:
         raise ValidationError("image id list must be non-empty")
     try:  # reading .port raises ValueError unless it is a number in [0, 65535]

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import _kernels
-from .corpus import CooccurrenceMatrix, Vocabulary, check_count, decode_json
+from .corpus import CooccurrenceMatrix, Vocabulary, check_count, check_number, decode_json
 from .exceptions import NumericError, ValidationError
 
 DEFAULT_TOPICS = 8
@@ -53,16 +53,17 @@ class TrainConfig:
         for name, minimum in (("n_topics", 1), ("max_iters", 1), ("seed", 0)):
             value = check_count(getattr(self, name), name, minimum)
             object.__setattr__(self, name, value)
-        if not 0 < self.tol < math.inf:
-            raise ValidationError(f"tol must be finite and > 0; got {self.tol!r}")
+        object.__setattr__(self, "tol", check_number(self.tol, "tol", "(0, inf)"))
 
 
 class PlsaModel:
     """Fitted pLSA parameters.
 
-    ``word_given_topic`` is K x M (each row a distribution over words),
-    ``doc_mixtures`` is N x K (each row a distribution over topics for a
-    training document), ``topic_prior`` is the length-K P(z).
+    ``word_given_topic`` is K x M, K and M > 0 (each row a distribution
+    over words), ``doc_mixtures`` is N x K (each row a distribution over
+    topics for a training document), ``topic_prior`` is the length-K P(z).
+    Other shapes and a ``vocab_hash`` that is not a ``str`` raise
+    ``ValidationError``; ``validate()`` checks the values.
     """
 
     def __init__(self, word_given_topic: np.ndarray, doc_mixtures: np.ndarray,
@@ -71,6 +72,14 @@ class PlsaModel:
         self.word_given_topic = np.asarray(word_given_topic, dtype=np.float64)
         self.doc_mixtures = np.asarray(doc_mixtures, dtype=np.float64)
         self.topic_prior = np.asarray(topic_prior, dtype=np.float64)
+        shape = self.word_given_topic.shape
+        if len(shape) != 2 or 0 in shape:
+            raise ValidationError("word_given_topic must be a non-empty K x M matrix")
+        if self.doc_mixtures.shape[1:] != shape[:1] or self.topic_prior.shape != shape[:1]:
+            raise ValidationError(f"doc_mixtures must be N x {shape[0]} and "
+                                  f"topic_prior of length {shape[0]}")
+        if not isinstance(vocab_hash, str):
+            raise ValidationError("vocab_hash must be a string")
         self.seed = check_count(seed, "seed")
         self.vocab_hash = vocab_hash
         self.n_iters = check_count(n_iters, "n_iters")
@@ -121,11 +130,11 @@ class PlsaModel:
         """Parse and validate a saved model.
 
         Text ``decode_json`` rejects, a ``format_version`` other than
-        ``MODEL_FORMAT_VERSION``, inconsistent shapes (``n_topics`` and
-        ``n_words`` included), a ``seed`` or ``n_iters`` that is not an
-        integer >= 0, a ``final_log_likelihood`` that is not a number or
-        null and parameters that are not JSON numbers or fail ``validate()``
-        raise ``ValidationError``.
+        ``MODEL_FORMAT_VERSION``, shapes the constructor rejects or that
+        are not ``n_topics`` x ``n_words``, a ``seed`` or ``n_iters`` that
+        is not an integer >= 0, a ``final_log_likelihood`` that is neither
+        null nor a finite number and parameters that are not JSON numbers
+        or fail ``validate()`` raise ``ValidationError``.
         """
         payload = decode_json(text, "model")
         try:
@@ -134,9 +143,6 @@ class PlsaModel:
                           for name in ("n_topics", "n_words"))
             doc_mixtures = payload.get("doc_mixtures") or np.zeros((0, sizes[0]))
             ll = payload.get("final_log_likelihood")
-            if isinstance(ll, bool) or not isinstance(ll, (int, float, type(None))):
-                raise ValidationError(
-                    f"final_log_likelihood must be a number or null; got {ll!r}")
             model = cls(
                 word_given_topic=_numbers(payload["word_given_topic"],
                                           "word_given_topic", 2),
@@ -145,7 +151,8 @@ class PlsaModel:
                 seed=payload["seed"],
                 vocab_hash=payload.get("vocab_hash", ""),
                 n_iters=payload["n_iters"],
-                final_log_likelihood=float("nan") if ll is None else float(ll),
+                final_log_likelihood=(float("nan") if ll is None
+                                      else check_number(ll, "final_log_likelihood")),
             )
         except ValidationError as exc:
             raise ValidationError(f"malformed model: {exc}") from exc
@@ -155,21 +162,10 @@ class PlsaModel:
             raise ValidationError(
                 f"unsupported model format_version {version!r} "
                 f"(expected {MODEL_FORMAT_VERSION})")
-        if not isinstance(model.vocab_hash, str):
-            raise ValidationError("malformed model: vocab_hash must be a string")
-        shape = model.word_given_topic.shape
-        if len(shape) != 2 or 0 in shape:
-            raise ValidationError("malformed model: word_given_topic must be a "
-                                  "non-empty K x M matrix")
-        if sizes != shape:
+        if sizes != model.word_given_topic.shape:
             raise ValidationError(
-                f"malformed model: n_topics and n_words {sizes!r} are not the "
-                f"shape of word_given_topic, {shape[0]} x {shape[1]}")
-        if (model.doc_mixtures.shape[1:] != shape[:1]
-                or model.topic_prior.shape != shape[:1]):
-            raise ValidationError(
-                f"malformed model: doc_mixtures must be N x {shape[0]} and "
-                f"topic_prior of length {shape[0]}")
+                f"malformed model: n_topics and n_words {sizes!r} are not the shape "
+                f"of word_given_topic, {model.n_topics} x {model.n_words}")
         try:
             model.validate()
         except NumericError as exc:
@@ -241,8 +237,7 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     The new mixtures are the transpose of a topic-major (K, N) array, the
     layout the kernel gathers them from in the next step.
     """
-    if not 0 <= smoothing < math.inf:
-        raise ValidationError(f"smoothing must be finite and >= 0; got {smoothing!r}")
+    smoothing = check_number(smoothing, "smoothing", "[0, inf)")
     nwz, nzd, nz, ll = _kernels.em_sufficient_stats(*_kernel_args(model, X))
     for k in np.flatnonzero(nz + smoothing <= 0):  # the rows m_step resets
         warnings.warn(f"topic {k} lost all mass; reset to uniform",
@@ -305,8 +300,7 @@ def assign_topics(mixtures, threshold: float = DEFAULT_NULL_THRESHOLD
 
     Returns ``(topics, max_probs)``, both of length n.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold {threshold} outside [0, 1]")
+    threshold = check_number(threshold, "threshold", "[0, 1]")
     mixtures = np.asarray(mixtures, dtype=np.float64)
     sums = mixtures.sum(axis=1)
     off = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)

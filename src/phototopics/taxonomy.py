@@ -13,6 +13,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
+from .corpus import check_number
 from .exceptions import ValidationError
 
 
@@ -165,11 +166,9 @@ def compute_ic(graph: TaxonomyGraph, counts: dict[str, float]) -> dict[str, floa
     The ancestors are walked without filling the graph's hop-map memo;
     each ancestor's total adds the counts in the order they are listed.
     """
-    if any(c < 0 for c in counts.values()):
-        raise ValidationError("raw counts must be non-negative")
-    total = sum(counts.values())
-    if not 0 < total < math.inf:
-        raise ValidationError("total raw count must be positive and finite")
+    for c in counts.values():
+        check_number(c, "raw count", "[0, inf)")
+    total = check_number(sum(counts.values()), "total raw count", "(0, inf)")
     parents = graph.parents
     n = len(parents)
     cumulative = dict.fromkeys(parents, 0.0)

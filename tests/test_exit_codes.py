@@ -43,7 +43,8 @@ EXAMPLES = 12  # per (command, input) pair, to keep the module to a few seconds
 ALLOWED_WARNINGS = r"topic \d+ lost all mass|.*floored with epsilon"
 
 DELETE = object()
-JSON_VALUES = [10**400, 1e308, "NaN", "\ud800", [], {}, True]
+# json.dumps writes the bare floats as NaN and Infinity, which json.loads reads
+JSON_VALUES = [10**400, 1e308, float("nan"), float("inf"), "NaN", "\ud800", [], {}, True]
 FIELD_TEXTS = ["", " ", "x", "-1", "0", "1e308", "nan", "inf", "root", "a,b", ":"]
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from phototopics.coherence import CoherenceConfig
+from phototopics.coherence import CoherenceConfig, CorpusStats
 from phototopics.corpus import CooccurrenceMatrix, Vocabulary, build_vocabulary
 from phototopics.exceptions import ValidationError
 from phototopics.plsa import PlsaModel, TrainConfig, init_model, top_words
@@ -34,6 +34,7 @@ BOUNDARIES = {
         (1, lambda v: build_vocabulary(RECORDS, min_count=v)),
     "build_vocabulary.min_collections":
         (1, lambda v: build_vocabulary(RECORDS, min_collections=v)),
+    "CorpusStats.n_docs": (1, lambda v: CorpusStats(v, {"a": 1}, {})),
 }
 NOT_COUNTS = [2.5, 3.0, True, "3", None]
 

@@ -171,6 +171,27 @@ class TestOrganizeCollection:
         assert coll.mixtures.shape == (len(records), 2)
         assert coll.coverage == 5 / 6
 
+    @pytest.mark.parametrize("second, match", [
+        (TopicNaming(True, "Pets and Animals", (), False),
+         "^topic must be an integer >= 0; got True$"),
+        (TopicNaming(np.int64(1), 5, (), False), "^naming result must name every "
+         "topic once, in topic order, with a string$"),
+        (TopicNaming(2, "Pets and Animals", (), False), "^naming result"),
+    ], ids=["topic-bool", "name-int", "topic-off"])
+    def test_names_checked(self, second, match):
+        model, vocab = _toy_model_and_vocab()
+        with pytest.raises(ValidationError, match=match):
+            organize_collection(tag_table([]), model, vocab,
+                                names=[_names()[0], second])
+
+    def test_numpy_topic_accepted(self):
+        model, vocab = _toy_model_and_vocab()
+        names = [TopicNaming(np.int64(k), n.name, n.scores, n.duplicate)
+                 for k, n in enumerate(_names())]
+        records = tag_table([("a", "u1", [("dog", 0.9)])])
+        assert organize_collection(records, model, vocab, names=names).topics == \
+            ["Pets and Animals"]
+
     def test_topic_named_null_keeps_its_own_label(self):
         """A topic that naming called "Null" is labelled ``Topic k``, as
         without names: in the manifest "Null" means only "below the
