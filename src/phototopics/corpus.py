@@ -27,12 +27,20 @@ DEFAULT_MIN_COLLECTIONS = 2
 _NOT_A_WORD = "is empty or blank, or contains a line break"
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the size of an integer too long for Python to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def check_count(value, name: str, minimum: int = 0) -> int:
     """``value``, a Python or numpy integer >= ``minimum``, as an ``int``; anything
     else, a bool or a float such as 2.0 included, raises ``ValidationError``."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not (integer and value >= minimum):
-        raise ValidationError(f"{name} must be an integer >= {minimum}; got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {minimum}; got {_shown(value)}")
     return int(value)
 
 
@@ -49,7 +57,8 @@ def check_number(value, name: str, interval: str = "(-inf, inf)") -> float:
     low, high = map(float, interval[1:-1].split(", "))
     if not (math.isfinite(number) and (low < number if interval[0] == "(" else low <= number)
             and (number < high if interval[-1] == ")" else number <= high)):
-        raise ValidationError(f"{name} must be a finite number in {interval}; got {value!r}")
+        raise ValidationError(f"{name} must be a finite number in {interval}; "
+                              f"got {_shown(value)}")
     return number
 
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
 from importlib import resources
 
 import numpy as np
 
 from .exceptions import ValidationError
 from .plsa import DEFAULT_TOP_WORDS, PlsaModel, top_words
-from .corpus import Vocabulary
+from .corpus import Vocabulary, _shown
 from .taxonomy import TaxonomyGraph, max_lin_similarity, read_tsv, split_ids
 
 NULL_TOPIC_NAME = "Null"
@@ -47,10 +46,10 @@ class TopicNameDef:
     pinned_synsets: tuple[tuple[str, ...], tuple[str, ...]] = ((), ())
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("topic name must be non-empty")
-        if len(self.anchors) != 2:
-            raise ValidationError("a topic name needs exactly two anchors")
+        if not (isinstance(self.name, str) and self.name and isinstance(self.anchors, tuple)
+                and len(self.anchors) == 2 and all(isinstance(a, str) for a in self.anchors)):
+            raise ValidationError("a topic name needs a non-empty str name and a tuple of two "
+                                  f"str anchors; got {_shown(self.name)} and {self.anchors!r}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,6 @@ def default_name_defs() -> list[TopicNameDef]:
     return parse_name_defs(text.splitlines())
 
 
-def _anchor_similarity(graph: TaxonomyGraph, tag: str, anchor: str,
-                       pinned: tuple[str, ...]) -> float:
-    return max_lin_similarity(graph, graph.lemma_index.get(tag.lower(), ()),
-                              pinned or graph.lemma_index.get(anchor, ()))
-
-
 def score_topic_names(top_tags: list[str], defs: list[TopicNameDef],
                       graph: TaxonomyGraph) -> np.ndarray:
     """One summed-similarity score per candidate name.
@@ -104,21 +97,19 @@ def score_topic_names(top_tags: list[str], defs: list[TopicNameDef],
     Lin similarity across sense pairs; tags unknown to the lexicon
     contribute 0.
     """
-    return _score_names(top_tags, defs, partial(_anchor_similarity, graph))
-
-
-def _score_names(top_tags, defs, similarity) -> np.ndarray:
-    """``score_topic_names`` with ``similarity(tag, anchor, pinned)``."""
     if not top_tags:
         raise ValidationError("need at least one top tag")
     if not defs:
         raise ValidationError("need at least one name definition")
+    tag_senses = [graph.lemma_index.get(tag.lower(), ()) for tag in top_tags]
     scores = np.zeros(len(defs))
     for i, d in enumerate(defs):
+        anchor_senses = [pinned or graph.lemma_index.get(anchor, ())
+                         for anchor, pinned in zip(d.anchors, d.pinned_synsets)]
         total = 0.0
-        for tag in top_tags:
-            for anchor, pinned in zip(d.anchors, d.pinned_synsets):
-                total += similarity(tag, anchor, pinned)
+        for senses in tag_senses:
+            for anchor in anchor_senses:
+                total += max_lin_similarity(graph, senses, anchor)
         scores[i] = total
     return scores
 
@@ -131,14 +122,11 @@ def name_topics(model: PlsaModel, vocab: Vocabulary, defs: list[TopicNameDef],
     Per-topic argmax by default (duplicates allowed but flagged); with
     ``distinct=True`` a one-to-one assignment maximizing the total score
     is computed instead. A topic whose scores are all zero is named
-    "Null" and flagged. Each (tag, anchor) pair's similarity is found
-    once per call.
+    "Null" and flagged.
     """
-    similarity = cache(partial(_anchor_similarity, graph))
-    score_rows = []
-    for k in range(model.n_topics):
-        tags = [w for w, _p in top_words(model, vocab, k, n_top)]
-        score_rows.append(_score_names(tags, defs, similarity))
+    score_rows = [score_topic_names([w for w, _p in top_words(model, vocab, k, n_top)],
+                                    defs, graph)
+                  for k in range(model.n_topics)]
     score_matrix = np.vstack(score_rows)
 
     if distinct:

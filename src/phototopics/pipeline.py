@@ -151,11 +151,11 @@ def organize_collection(records: TagTable, model: PlsaModel,
     manifest takes the collection of the record with the lowest image id.
     """
     image_ids = records.image_ids
-    seen: set[str] = set()
-    for image_id in image_ids:
-        if image_id in seen:
+    order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
+    sorted_ids = [image_ids[j] for j in order]
+    for image_id, next_id in zip(sorted_ids, sorted_ids[1:]):
+        if image_id == next_id:
             raise ValidationError(f"duplicate image_id {image_id!r}")
-        seen.add(image_id)
     if names is not None and not (
             [check_count(n.topic, "topic") for n in names] == list(range(model.n_topics))
             and all(isinstance(n.name, str) for n in names)):
@@ -168,12 +168,10 @@ def organize_collection(records: TagTable, model: PlsaModel,
         topic_names = [n.name if n.name != NULL_TOPIC_NAME else topic_names[n.topic]
                        for n in names]
     topic_names.append(NULL_TOPIC_NAME)  # topic -1
-    order = sorted(range(len(image_ids)), key=image_ids.__getitem__)
 
     theta = fold_in_records(records, model, vocab, weighting)[order]
     topics, _max_probs = plsa.assign_topics(theta, threshold)
     topics = topics.tolist()
-    sorted_ids = [image_ids[j] for j in order]
     labels = [topic_names[k] for k in topics]
     categories = None
     if scores is not None:

@@ -238,6 +238,9 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     layout the kernel gathers them from in the next step.
     """
     smoothing = check_number(smoothing, "smoothing", "[0, inf)")
+    if not math.isfinite(smoothing * model.n_words):  # a topic's smoothed total
+        raise ValidationError(f"smoothing times the {model.n_words} words must be "
+                              f"finite; got {smoothing!r}")
     nwz, nzd, nz, ll = _kernels.em_sufficient_stats(*_kernel_args(model, X))
     for k in np.flatnonzero(nz + smoothing <= 0):  # the rows m_step resets
         warnings.warn(f"topic {k} lost all mass; reset to uniform",

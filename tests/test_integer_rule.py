@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from phototopics.coherence import CoherenceConfig, CorpusStats
-from phototopics.corpus import CooccurrenceMatrix, Vocabulary, build_vocabulary
+from phototopics.corpus import CooccurrenceMatrix, Vocabulary, build_vocabulary, check_count
 from phototopics.exceptions import ValidationError
 from phototopics.plsa import PlsaModel, TrainConfig, init_model, top_words
 
@@ -52,6 +52,12 @@ def test_not_a_count_rejected(boundary, which):
     with pytest.raises(ValidationError,
                        match=f"^{name} must be an integer >= {minimum}; got "):
         call(value)
+
+
+def test_integer_too_long_to_print_rejected():
+    with pytest.raises(ValidationError, match="^n must be an integer >= 0; "
+                                              "got a negative integer of 16610 bits$"):
+        check_count(-10**5000, "n")
 
 
 @pytest.mark.parametrize("name", ["n_topics", "n_words"])

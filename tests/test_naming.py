@@ -16,6 +16,22 @@ from phototopics.naming import (
 from conftest import ANIMAL_WORDS, FOOD_WORDS, food_animal_setup, toy_graph
 
 
+class TestTopicNameDef:
+    @pytest.mark.parametrize("name, anchors", [
+        (5, ("a", "b")), ("", ("a", "b")), (None, ("a", "b")),
+        ("X", (1, 2)), ("X", ("a", None)), ("X", "ab"), ("X", ["a", "b"]),
+        ("X", ("a",)), ("X", ("a", "b", "c")),
+    ], ids=repr)
+    def test_name_and_anchors_must_be_text(self, name, anchors):
+        with pytest.raises(ValidationError, match="^a topic name needs a non-empty str name "
+                                                  "and a tuple of two str anchors; got "):
+            TopicNameDef(name, anchors)
+
+    def test_integer_too_long_to_print_rejected(self):
+        with pytest.raises(ValidationError, match="got an integer of 16610 bits and "):
+            TopicNameDef(10**5000, ("a", "b"))
+
+
 class TestParseNameDefs:
     def test_plain_anchors(self):
         defs = parse_name_defs(io.StringIO("Pets and Animals\tpets\tanimals\n"))
@@ -122,23 +138,14 @@ class TestNameTopics:
         r2 = name_topics(model, vocab, default_name_defs(), graph)
         assert r1 == r2
 
-    def test_each_pair_scored_once_per_call(self, monkeypatch):
-        """Topics that share top tags reuse their similarities within one
-        call: the twin topics cost the Lin similarities of one, and score
-        as ``score_topic_names`` scores them."""
-        from phototopics import taxonomy
-
+    def test_topics_score_as_score_topic_names(self):
+        """Each topic's scores are ``score_topic_names`` of its top tags, bit
+        for bit; the twin topics share theirs."""
         graph, model, vocab = food_animal_setup()
         twin = type(model)(np.vstack([model.word_given_topic[0]] * 2),
                            np.zeros((0, 2)), np.array([0.5, 0.5]), seed=0)
         defs = default_name_defs()
-        calls = []
-        lin = taxonomy.lin_similarity
-        monkeypatch.setattr(taxonomy, "lin_similarity",
-                            lambda *args: calls.append(args) or lin(*args))
         want = score_topic_names(FOOD_WORDS, defs, graph)
-        once = len(calls)
         result = name_topics(twin, vocab, defs, graph)
-        assert len(calls) == 2 * once
         for r in result:
             assert r.scores == tuple(want)

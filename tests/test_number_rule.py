@@ -117,6 +117,12 @@ def test_numpy_real_held_as_float(boundary, value):
     assert held is None or (type(held) is float and held == float(value))
 
 
+def test_integer_too_long_to_print_rejected():
+    with pytest.raises(ValidationError, match=r"^x must be a finite number in \(-inf, inf\); "
+                                              "got an integer of 16610 bits$"):
+        check_number(10**5000, "x")
+
+
 def test_check_number_returns_a_float():
     assert check_number(np.float64(2.5), "x") == 2.5
     assert type(check_number(np.uint8(3), "x", "[0, 3]")) is float

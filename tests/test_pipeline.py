@@ -216,6 +216,8 @@ class TestOrganizeCollection:
                              for i in ("b", "a", "c", "a", "b")])
         with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
             organize_collection(records, model, vocab)
+        with pytest.raises(ValidationError, match="duplicate image_id 'a'"):
+            organize_collection(records, model, vocab, names=[])  # checked first
 
 
 class TestFoldInRecords:

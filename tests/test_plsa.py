@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,17 @@ class TestEmStep:
         np.testing.assert_array_equal(
             new.word_given_topic, [[0.25, 0.5, 0.25], [1 / 3, 1 / 3, 1 / 3]])
         np.testing.assert_array_equal(new.topic_prior, [1.0, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_smoothing_whose_topic_total_overflows_rejected(self):
+        """Smoothed counts that overflow their topic's total would leave rows
+        of zeros in P(w|z); a large smoothing with a finite total is kept."""
+        X = make_corpus([[1, 0], [1, 1], [0, 1]])
+        model = init_model(2, 3, seed=0, n_docs=2)
+        with pytest.raises(ValidationError, match=r"^smoothing times the 3 words must "
+                                                  r"be finite; got 1\.79"):
+            em_step(model, X, smoothing=sys.float_info.max)
+        em_step(model, X, smoothing=1e300)[0].validate()
 
     @pytest.mark.parametrize("n_topics", [2, 3, 8])
     def test_word_given_topic_is_smoothed_counts_over_row_sums(self, n_topics):

@@ -80,6 +80,30 @@ def test_album_calls_reach_the_traced_layers(tmp_path):
         assert len(tracer.durations(name)) == 1, name
 
 
+def test_describe_calls_reach_the_traced_layers(valid_inputs, tmp_path):
+    """The benchmark's describe-topics naming, under its tracer: one
+    ``name_topics`` span per command, with one ``score_topic_names`` span
+    per topic inside it."""
+    from phototopics import cli
+
+    p = valid_inputs
+    module = _load_tracer()
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["name-topics", p["model"], p["vocab"],
+                         "--taxonomy", p["taxonomy"], "--lexicon", p["lexicon"],
+                         "--ic", p["ic"], "-o", str(tmp_path / "names.json")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[module.NAME] for span in tracer.spans]
+    assert names.count("naming.name_topics") == 1
+    outer = names.index("naming.name_topics")
+    assert [span[module.PARENT] for span in tracer.spans
+            if span[module.NAME] == "naming.score_topic_names"] == [outer] * 2  # --topics 2
+
+
 def test_kernels_take_the_micro_benchmark_calls():
     """The kernel calls of ``perfbench/worker.py::micro``: positional
     arguments, and fold-in of one document without ``cols``."""
