@@ -22,7 +22,6 @@ from .exceptions import (
 )
 from .plsa import (
     PlsaModel,
-    TrainConfig,
     assign_topic,
     em_step,
     fold_in,
@@ -49,7 +48,6 @@ from .naming import (
     score_topic_names,
 )
 from .coherence import (
-    CoherenceConfig,
     CorpusStats,
     avg_npmi,
     build_corpus_stats,

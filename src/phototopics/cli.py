@@ -21,6 +21,7 @@ from .corpus import (
     Vocabulary,
     build_cooccurrence,
     build_vocabulary,
+    check_count,
     decode_json,
     parse_tag_records,
 )
@@ -70,12 +71,11 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = plsa.TrainConfig(n_topics=args.topics, max_iters=args.max_iters,
-                           tol=args.tol, seed=args.seed)
     records = _read_records(args.records)
     vocab = Vocabulary.load(args.vocab)
     X = build_cooccurrence(records, vocab, weighting=args.weighting)
-    model = plsa.train(X, cfg, vocab=vocab)
+    model = plsa.train(X, n_topics=args.topics, max_iters=args.max_iters,
+                       tol=args.tol, seed=args.seed, vocab=vocab)
     model.save(args.output)
     print(f"trained K={model.n_topics} in {model.n_iters} iterations, "
           f"log-likelihood {model.final_log_likelihood:.6f} -> {args.output}")
@@ -120,10 +120,10 @@ def cmd_name_topics(args) -> int:
 
 
 def cmd_coherence(args) -> int:
+    top_n = check_count(args.top_n, "top_n", 2)
     model = plsa.PlsaModel.load(args.model)
     vocab = Vocabulary.load(args.vocab)
-    cfg = coh.CoherenceConfig(top_n=args.top_n, epsilon=args.epsilon)
-    top = [[w for w, _p in plsa.top_words(model, vocab, k, cfg.top_n)]
+    top = [[w for w, _p in plsa.top_words(model, vocab, k, top_n)]
            for k in range(model.n_topics)]
     scored = {w for words in top for w in words}
     with open(args.ref_corpus, encoding="utf-8") as f:
@@ -132,9 +132,9 @@ def cmd_coherence(args) -> int:
     for k, words in enumerate(top):
         rows.append({
             "topic": k,
-            "uci": coh.uci_score(words, stats, cfg),
-            "umass": coh.umass_score(words, stats, cfg),
-            "avg_npmi": coh.avg_npmi(words, stats, cfg),
+            "uci": coh.uci_score(words, stats, epsilon=args.epsilon),
+            "umass": coh.umass_score(words, stats, epsilon=args.epsilon),
+            "avg_npmi": coh.avg_npmi(words, stats, epsilon=args.epsilon),
         })
     avg = {m: sum(r[m] for r in rows) / len(rows) for m in ("uci", "umass", "avg_npmi")}
     with _open_out(args.output) as out:

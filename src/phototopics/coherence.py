@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 import numpy as np
@@ -21,21 +20,6 @@ DEFAULT_TOP_N = 10
 DEFAULT_EPSILON = 1e-12
 # documents per incidence matrix in build_corpus_stats
 _CHUNK_DOCS = 1024
-
-
-@dataclass(frozen=True)
-class CoherenceConfig:
-    top_n: int = DEFAULT_TOP_N
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        object.__setattr__(self, "top_n", check_count(self.top_n, "top_n", 2))
-        epsilon = check_number(self.epsilon, "epsilon", "(0, inf)")
-        # a pair of words both absent from the reference corpus divides by
-        # epsilon squared, so the square must be a positive finite number
-        if not 0.0 < epsilon * epsilon < math.inf:
-            raise ValidationError(f"epsilon squared must be finite and > 0; got {epsilon!r}")
-        object.__setattr__(self, "epsilon", epsilon)
 
 
 class CorpusStats:
@@ -115,19 +99,19 @@ def _count_chunk(chunk: list[set[str]], word_id: dict[str, int], joint: np.ndarr
     joint += (incidence.T @ incidence).astype(np.int64)
 
 
-def uci_score(words: list[str], stats: CorpusStats,
-              cfg: CoherenceConfig | None = None) -> float:
+def uci_score(words: list[str], stats: CorpusStats, *,
+              epsilon: float = DEFAULT_EPSILON) -> float:
     """Mean pairwise PMI: 2/(N(N-1)) sum log((P(wi,wj)+eps)/(P(wi)P(wj)))."""
-    cfg = cfg or CoherenceConfig()
+    eps = _check_epsilon(epsilon)
     n_pairs = _pair_count(words)
     total = 0.0
-    for pmi, _pj in _floored_pmis(words, stats, cfg.epsilon):
+    for pmi, _pj in _floored_pmis(words, stats, eps):
         total += pmi
     return total / n_pairs
 
 
-def umass_score(words: list[str], stats: CorpusStats,
-                cfg: CoherenceConfig | None = None) -> float:
+def umass_score(words: list[str], stats: CorpusStats, *,
+                epsilon: float = DEFAULT_EPSILON) -> float:
     """2/(N(N-1)) sum log((P(wj,wi)+eps)/P(wi)) over the frequency-ordered list.
 
     The list is re-sorted by descending document frequency (ties broken
@@ -135,9 +119,8 @@ def umass_score(words: list[str], stats: CorpusStats,
     A conditioning word with zero frequency floors its pairs with eps;
     one warning per call counts the floored pairs and names those words.
     """
-    cfg = cfg or CoherenceConfig()
+    eps = _check_epsilon(epsilon)
     n_pairs = _pair_count(words)
-    eps = cfg.epsilon
     ordered = sorted(words, key=lambda w: (-stats.df.get(w, 0), w))
     total = 0.0
     floored: dict[str, int] = {}  # absent conditioning word -> its pairs
@@ -157,20 +140,29 @@ def umass_score(words: list[str], stats: CorpusStats,
     return total / n_pairs
 
 
-def avg_npmi(words: list[str], stats: CorpusStats,
-             cfg: CoherenceConfig | None = None) -> float:
+def avg_npmi(words: list[str], stats: CorpusStats, *,
+             epsilon: float = DEFAULT_EPSILON) -> float:
     """Mean normalized PMI over unordered pairs, in [-1, 1].
 
     NPMI = PMI / (-log(P(wi,wj)+eps)); a pair co-occurring in every
     document (denominator 0) contributes exactly 1.
     """
-    cfg = cfg or CoherenceConfig()
+    eps = _check_epsilon(epsilon)
     n_pairs = _pair_count(words)
     total = 0.0
-    for pmi, pj in _floored_pmis(words, stats, cfg.epsilon):
-        denom = -math.log(pj + cfg.epsilon)
+    for pmi, pj in _floored_pmis(words, stats, eps):
+        denom = -math.log(pj + eps)
         total += 1.0 if denom <= 0.0 else pmi / denom
     return total / n_pairs
+
+
+def _check_epsilon(epsilon) -> float:
+    epsilon = check_number(epsilon, "epsilon", "(0, inf)")
+    # a pair of words both absent from the reference corpus divides by
+    # epsilon squared, so the square must be a positive finite number
+    if not 0.0 < epsilon * epsilon < math.inf:
+        raise ValidationError(f"epsilon squared must be finite and > 0; got {epsilon!r}")
+    return epsilon
 
 
 def _floored_pmis(words, stats: CorpusStats, eps: float):

@@ -32,6 +32,8 @@ def _shown(value) -> str:
     try:
         return repr(value)
     except ValueError:  # an int of more digits than sys.get_int_max_str_digits()
+        if not isinstance(value, int):  # a container that holds one
+            return f"a {type(value).__name__} holding an integer too long to print"
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
 
 

@@ -48,8 +48,15 @@ class TopicNameDef:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name and isinstance(self.anchors, tuple)
                 and len(self.anchors) == 2 and all(isinstance(a, str) for a in self.anchors)):
-            raise ValidationError("a topic name needs a non-empty str name and a tuple of two "
-                                  f"str anchors; got {_shown(self.name)} and {self.anchors!r}")
+            raise ValidationError(
+                "a topic name needs a non-empty str name and a tuple of two str anchors; "
+                f"got {_shown(self.name)} and {_shown(self.anchors)}")
+        pinned = self.pinned_synsets
+        if not (isinstance(pinned, tuple) and len(pinned) == 2 and all(
+                isinstance(ids, tuple) and all(isinstance(i, str) for i in ids)
+                for ids in pinned)):
+            raise ValidationError("pinned synsets must be a tuple of two tuples of str ids; "
+                                  f"got {_shown(pinned)}")
 
 
 @dataclass(frozen=True)

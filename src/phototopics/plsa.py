@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -40,20 +39,6 @@ def _numbers(value, name: str, ndim: int) -> np.ndarray:
     if not set(map(type, items)) <= {int, float}:
         raise ValidationError(f"{name} must hold only numbers")
     return np.array(value, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    n_topics: int = DEFAULT_TOPICS
-    max_iters: int = DEFAULT_MAX_ITERS
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, minimum in (("n_topics", 1), ("max_iters", 1), ("seed", 0)):
-            value = check_count(getattr(self, name), name, minimum)
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "tol", check_number(self.tol, "tol", "(0, inf)"))
 
 
 class PlsaModel:
@@ -258,21 +243,26 @@ def em_step(model: PlsaModel, X: CooccurrenceMatrix,
     return new_model, ll
 
 
-def train(X: CooccurrenceMatrix, cfg: TrainConfig | None = None,
-          vocab: Vocabulary | None = None) -> PlsaModel:
-    """Run EM until the relative log-likelihood change drops below tol."""
-    cfg = cfg or TrainConfig()
+def train(X: CooccurrenceMatrix, *, n_topics: int = DEFAULT_TOPICS,
+          max_iters: int = DEFAULT_MAX_ITERS, tol: float = DEFAULT_TOL,
+          seed: int = 0, vocab: Vocabulary | None = None) -> PlsaModel:
+    """Run EM until the relative log-likelihood change drops below ``tol``;
+    a ``vocab``, which must have ``X.n_words`` words, stamps its hash."""
+    n_topics = check_count(n_topics, "n_topics", 1)
+    max_iters = check_count(max_iters, "max_iters", 1)
+    seed, tol = check_count(seed, "seed"), check_number(tol, "tol", "(0, inf)")
     if X.n_docs == 0:
         raise ValidationError("cannot train on an empty corpus")
     if X.n_words == 0:
         raise ValidationError("cannot train with an empty vocabulary")
-    model = init_model(cfg.n_topics, X.n_words, cfg.seed, n_docs=X.n_docs)
+    model = init_model(n_topics, X.n_words, seed, n_docs=X.n_docs)
     if vocab is not None:
+        check_vocabulary(model, vocab)
         model.vocab_hash = vocab.digest()
     prev_ll = None
-    for n_iters in range(1, cfg.max_iters + 1):
+    for n_iters in range(1, max_iters + 1):
         model, ll = em_step(model, X)
-        if prev_ll is not None and abs(ll - prev_ll) / max(abs(prev_ll), 1.0) < cfg.tol:
+        if prev_ll is not None and abs(ll - prev_ll) / max(abs(prev_ll), 1.0) < tol:
             break
         prev_ll = ll
     model.n_iters = n_iters
@@ -304,9 +294,15 @@ def assign_topics(mixtures, threshold: float = DEFAULT_NULL_THRESHOLD
     Returns ``(topics, max_probs)``, both of length n.
     """
     threshold = check_number(threshold, "threshold", "[0, 1]")
-    mixtures = np.asarray(mixtures, dtype=np.float64)
+    try:
+        mixtures = np.asarray(mixtures, dtype=np.float64)
+        if mixtures.ndim != 2 or not mixtures.shape[1]:
+            raise ValueError(f"got shape {mixtures.shape}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"mixtures must be an (n, K) array of numbers, "
+                              f"K >= 1: {exc}") from exc
     sums = mixtures.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    off = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-6))  # a NaN sum is off too
     if len(off):
         raise ValidationError(f"mixture sums to {sums[off[0]]}, expected 1")
     max_probs = mixtures.max(axis=1)
@@ -318,7 +314,7 @@ def assign_topic(mixture, threshold: float = DEFAULT_NULL_THRESHOLD
                  ) -> tuple[int | None, float]:
     """Argmax topic (ties to the lowest index), or None below threshold;
     ``assign_topics`` over one mixture."""
-    topics, max_probs = assign_topics(np.reshape(mixture, (1, -1)), threshold)
+    topics, max_probs = assign_topics([mixture], threshold)
     topic = int(topics[0])
     return (None if topic < 0 else topic), float(max_probs[0])
 

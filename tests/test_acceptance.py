@@ -4,6 +4,7 @@ Each test prints a PASS line on success (visible with ``pytest -s`` or
 ``-rA``); a failing criterion fails its test.
 """
 
+import inspect
 import json
 import math
 import time
@@ -16,7 +17,7 @@ import phototopics.corpus as corpus
 import phototopics.naming as naming
 import phototopics.plsa as plsa
 from phototopics.cli import main
-from phototopics.plsa import TrainConfig, em_step, init_model, train
+from phototopics.plsa import em_step, init_model, train
 from phototopics.taxonomy import lcs, lin_similarity
 
 from conftest import (
@@ -76,7 +77,7 @@ def test_criterion_4_planted_topic_recovery():
     X, labels = planted_corpus(n_topics=3, words_per_topic=10, n_docs=300,
                                tags_per_doc=10)
     start = time.perf_counter()
-    model = train(X, TrainConfig(n_topics=3, seed=0))
+    model = train(X, n_topics=3, seed=0)
     elapsed = time.perf_counter() - start
     accuracy = best_permutation_accuracy(
         model.doc_mixtures.argmax(axis=1), labels, 3)
@@ -87,7 +88,7 @@ def test_criterion_4_planted_topic_recovery():
 
 def test_criterion_5_fold_in():
     X, _labels = planted_corpus()
-    model = train(X, TrainConfig(n_topics=3, seed=0))
+    model = train(X, n_topics=3, seed=0)
     before = model.to_json().encode()
     worst = 0.0
     for j in range(X.n_docs):
@@ -196,7 +197,8 @@ def test_criterion_11_paper_constant_defaults():
     assert plsa.DEFAULT_TOP_WORDS == 10
     assert plsa.DEFAULT_NULL_THRESHOLD == 0.035
     assert corpus.DEFAULT_MIN_COUNT == 5
-    assert TrainConfig().n_topics == 8
+    assert inspect.signature(train).parameters["n_topics"].default \
+        == plsa.DEFAULT_TOPICS == 8
     assert naming.DEFAULT_TOPIC_NAMES == (
         "Interior and Objects",
         "Pets and Animals",

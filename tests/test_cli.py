@@ -278,6 +278,34 @@ def test_negative_seed_exit_2(tmp_path, collection_file, trained, capsys):
     assert "seed must be an integer >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--topics", "0"], "n_topics must be an integer >= 1; got 0"),
+    (["--max-iters", "0"], "max_iters must be an integer >= 1; got 0"),
+])
+def test_train_setting_below_minimum_exit_2(tmp_path, collection_file, trained,
+                                            capsys, option, message):
+    vocab_path, _model_path = trained
+    model_path = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", str(collection_file), str(vocab_path),
+                 "-o", str(model_path), *option]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model_path.exists()
+
+
+def test_top_n_below_two_exit_2(tmp_path, trained, capsys):
+    vocab_path, model_path = trained
+    ref_corpus = tmp_path / "ref.txt"
+    ref_corpus.write_text(" ".join(FOOD_WORDS) + "\n")
+    out = tmp_path / "coherence.json"
+    capsys.readouterr()
+    assert main(["coherence", str(model_path), str(vocab_path),
+                 "--ref-corpus", str(ref_corpus), "-o", str(out),
+                 "--top-n", "1"]) == 2
+    assert capsys.readouterr().err == "error: top_n must be an integer >= 2; got 1\n"
+    assert not out.exists()
+
+
 def test_ic_and_ic_counts_together_exit_2(tmp_path, trained, capsys):
     vocab_path, model_path = trained
     tax, lex, ic = taxonomy_files(tmp_path)

@@ -1,11 +1,13 @@
+import argparse
 import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from phototopics.cli import cmd_coherence
 from phototopics.coherence import (
-    CoherenceConfig,
+    CorpusStats,
     avg_npmi,
     build_corpus_stats,
     uci_score,
@@ -97,22 +99,32 @@ class TestBuildCorpusStats:
 
 
 class TestCoherenceConfig:
+    """The scores' keyword-only ``epsilon`` and the ``top_n`` that
+    ``phototopics coherence`` checks before it loads anything."""
+    STATS = CorpusStats(2, {"a": 1, "b": 1}, {("a", "b"): 1})
+
     @pytest.mark.parametrize("epsilon", [0.0, -1e-12, 1e-200, 1e200,
                                          float("nan"), float("inf")])
     def test_unusable_epsilon_rejected(self, epsilon):
-        with pytest.raises(ValidationError, match="epsilon"):
-            CoherenceConfig(epsilon=epsilon)
+        for score in (uci_score, umass_score, avg_npmi):
+            with pytest.raises(ValidationError, match="epsilon"):
+                score(["a", "b"], self.STATS, epsilon=epsilon)
 
     @pytest.mark.parametrize("top_n", [2.5, 3.0, float("inf"), "3", None])
     def test_top_n_not_an_integer_rejected(self, top_n):
+        # no model, vocabulary or reference corpus: the check comes first
         with pytest.raises(ValidationError, match="^top_n must be an integer >= 2"):
-            CoherenceConfig(top_n=top_n)
+            cmd_coherence(argparse.Namespace(top_n=top_n))
 
     def test_smallest_usable_epsilon_scores_absent_pairs(self):
         stats = build_corpus_stats(["a b", "c"], vocab_filter={"x", "y"})
-        cfg = CoherenceConfig(epsilon=1e-150)
-        assert math.isfinite(uci_score(["x", "y"], stats, cfg))
-        assert math.isfinite(avg_npmi(["x", "y"], stats, cfg))
+        assert math.isfinite(uci_score(["x", "y"], stats, epsilon=1e-150))
+        assert math.isfinite(avg_npmi(["x", "y"], stats, epsilon=1e-150))
+
+    def test_epsilon_is_keyword_only(self):
+        for score in (uci_score, umass_score, avg_npmi):
+            with pytest.raises(TypeError):
+                score(["a", "b"], self.STATS, EPS)
 
 
 class TestUciScore:
@@ -202,16 +214,15 @@ class TestOracleEquivalence:
     @pytest.mark.filterwarnings("ignore:.*floored with epsilon")
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
-        stats_cfg = CoherenceConfig(top_n=2, epsilon=EPS)
         for _ in range(100):
             docs, words = _random_docs(rng)
             stats = build_corpus_stats(docs, vocab_filter=set(words))
             exp_uci, exp_umass, exp_npmi = brute_force_scores(docs, words)
-            assert uci_score(words, stats, stats_cfg) == pytest.approx(
+            assert uci_score(words, stats, epsilon=EPS) == pytest.approx(
                 exp_uci, abs=1e-12)
-            assert umass_score(words, stats, stats_cfg) == pytest.approx(
+            assert umass_score(words, stats, epsilon=EPS) == pytest.approx(
                 exp_umass, abs=1e-12)
-            assert avg_npmi(words, stats, stats_cfg) == pytest.approx(
+            assert avg_npmi(words, stats, epsilon=EPS) == pytest.approx(
                 exp_npmi, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore:.*floored with epsilon")

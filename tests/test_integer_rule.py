@@ -7,17 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from phototopics.coherence import CoherenceConfig, CorpusStats
+from phototopics.coherence import CorpusStats
 from phototopics.corpus import CooccurrenceMatrix, Vocabulary, build_vocabulary, check_count
 from phototopics.exceptions import ValidationError
-from phototopics.plsa import PlsaModel, TrainConfig, init_model, top_words
+from phototopics.plsa import PlsaModel, init_model, top_words, train
 
-from conftest import tag_table
+from conftest import make_corpus, tag_table
 
 VOCAB = Vocabulary(("x", "y", "z"))
 MODEL = init_model(2, 3, seed=0)
 RECORDS = tag_table([("a", "u", [("x", 0.5)])])
 _PARAMETERS = (MODEL.word_given_topic, MODEL.doc_mixtures, MODEL.topic_prior)
+X = make_corpus([[1, 0, 2], [0, 1, 1], [3, 1, 0]])
 
 # argument -> (its minimum, a call with the value in its place)
 BOUNDARIES = {
@@ -72,13 +73,12 @@ def test_model_size_not_a_count_rejected_at_load(name, which):
 
 @pytest.mark.parametrize("numpy_int", [np.int64, np.int32, np.uint8])
 @pytest.mark.parametrize("make, field", [
-    (lambda v: TrainConfig(n_topics=v), "n_topics"),
-    (lambda v: TrainConfig(max_iters=v), "max_iters"),
-    (lambda v: TrainConfig(seed=v), "seed"),
-    (lambda v: CoherenceConfig(top_n=v), "top_n"),
+    (lambda v: train(X, n_topics=v), "n_topics"),
+    (lambda v: train(X, n_topics=2, max_iters=v, tol=1e-300), "n_iters"),
+    (lambda v: train(X, n_topics=2, seed=v), "seed"),
     (lambda v: init_model(2, 3, seed=v), "seed"),
     (lambda v: PlsaModel(*_PARAMETERS, seed=0, n_iters=v), "n_iters"),
-], ids=["n_topics", "max_iters", "seed", "top_n", "init_model-seed", "model-n_iters"])
+], ids=["n_topics", "max_iters", "seed", "init_model-seed", "model-n_iters"])
 def test_numpy_integer_held_as_int(make, field, numpy_int):
     value = getattr(make(numpy_int(3)), field)
     assert type(value) is int and value == 3

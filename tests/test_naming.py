@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,25 @@ class TestTopicNameDef:
     def test_integer_too_long_to_print_rejected(self):
         with pytest.raises(ValidationError, match="got an integer of 16610 bits and "):
             TopicNameDef(10**5000, ("a", "b"))
+
+    @pytest.mark.parametrize("pinned", [
+        ("n_dog", "n_animal"),  # one string per anchor, once read as the synset 'n'
+        [(), ()], ((), (), ()), ((),), ((1,), ()),
+        (["n_dog"], ()), None,
+    ], ids=repr)
+    def test_pinned_synsets_must_be_two_tuples_of_str(self, pinned):
+        message = ("pinned synsets must be a tuple of two tuples of str ids; "
+                   f"got {pinned!r}")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TopicNameDef("X", ("dog", "animal"), pinned_synsets=pinned)
+
+    @pytest.mark.parametrize("anchors, pinned", [
+        ((10**5000, "b"), ((), ())), (("a", "b"), ((10**5000,), ())),
+    ], ids=["anchor", "pinned"])
+    def test_container_of_an_integer_too_long_to_print_rejected(self, anchors, pinned):
+        with pytest.raises(ValidationError, match="got .*a tuple holding an integer "
+                                                  "too long to print$"):
+            TopicNameDef("X", anchors, pinned)
 
 
 class TestParseNameDefs:

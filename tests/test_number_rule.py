@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phototopics.coherence import CoherenceConfig
+from phototopics.coherence import CorpusStats, avg_npmi, uci_score, umass_score
 from phototopics.corpus import TagTableBuilder, check_number
 from phototopics.exceptions import ValidationError
 from phototopics.pipeline import fetch_tags, load_category_scores
-from phototopics.plsa import PlsaModel, TrainConfig, assign_topics, em_step, init_model
+from phototopics.plsa import PlsaModel, assign_topics, em_step, init_model, train
 from phototopics.taxonomy import compute_ic, load_taxonomy
 
 from conftest import make_corpus
@@ -30,6 +30,7 @@ ABOVE_ONE = math.nextafter(1.0, 2.0)
 
 X = make_corpus([[1, 0], [1, 1], [0, 1]])
 MODEL = init_model(2, 3, seed=0, n_docs=2)
+STATS = CorpusStats(2, {"a": 1, "b": 1}, {("a", "b"): 1})
 GRAPH = load_taxonomy(io.StringIO("root\t\na\troot\n"), io.StringIO(""),
                       ic_stream=io.StringIO(""))
 
@@ -47,6 +48,12 @@ def _score(v):
     return load_category_scores([line]).by_image["a"][0][2]
 
 
+def _scores(v):
+    """The three coherence scores all take ``epsilon`` by the one rule."""
+    for score in (uci_score, umass_score, avg_npmi):
+        score(["a", "b"], STATS, epsilon=v)
+
+
 def _likelihood(v):
     payload = json.loads(MODEL.to_json())
     payload["final_log_likelihood"] = v
@@ -57,10 +64,12 @@ def _likelihood(v):
 # it holds, or None where the argument is not kept.
 # argument -> (its interval, values just outside it, values at or next to
 # its ends, the call)
+# ``train``'s tol and the scores' epsilon keep the ids of the classes that
+# once held them, TrainConfig and CoherenceConfig.
 LIBRARY = {
-    "TrainConfig.tol": ("(0, inf)", [0.0], [TINY, MAX], lambda v: TrainConfig(tol=v).tol),
-    "CoherenceConfig.epsilon": ("(0, inf)", [0.0], [1e-150, 1e150],
-                                lambda v: CoherenceConfig(epsilon=v).epsilon),
+    "TrainConfig.tol": ("(0, inf)", [0.0], [TINY, MAX],
+                        lambda v: train(X, n_topics=2, tol=v) and None),
+    "CoherenceConfig.epsilon": ("(0, inf)", [0.0], [1e-150, 1e150], _scores),
     "assign_topics.threshold": ("[0, 1]", [-TINY, ABOVE_ONE], [0.0, 1.0],
                                 lambda v: assign_topics(np.full((1, 2), 0.5), v) and None),
     "em_step.smoothing": ("[0, inf)", [-TINY], [0.0, 1e300],

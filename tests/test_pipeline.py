@@ -23,7 +23,7 @@ from phototopics.pipeline import (
     load_category_scores,
     organize_collection,
 )
-from phototopics.plsa import PlsaModel, TrainConfig, top_words, train
+from phototopics.plsa import PlsaModel, top_words, train
 
 from conftest import fold_in_one, make_corpus, planted_corpus, tag_table
 
@@ -228,7 +228,7 @@ class TestFoldInRecords:
         tags and records whose confidences are all 0 included."""
         X, _labels = planted_corpus(n_docs=40)
         vocab = Vocabulary(tuple(f"w{i:02d}" for i in range(X.n_words)))
-        model = train(X, TrainConfig(n_topics=3, seed=0), vocab=vocab)
+        model = train(X, n_topics=3, seed=0, vocab=vocab)
         rng = np.random.default_rng(7)
         records = []
         for j in range(60):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import numpy as np
@@ -10,7 +11,6 @@ from phototopics.exceptions import ValidationError
 from phototopics.plsa import (
     DEFAULT_SMOOTHING,
     PlsaModel,
-    TrainConfig,
     assign_topic,
     assign_topics,
     em_step,
@@ -155,8 +155,7 @@ class TestEmStep:
 
     def test_disjoint_two_doc_fixed_point(self):
         X = make_corpus([[1, 0], [0, 1]])
-        model = train(X, TrainConfig(n_topics=2, seed=0, tol=1e-12,
-                                     max_iters=500))
+        model = train(X, n_topics=2, seed=0, tol=1e-12, max_iters=500)
         mix = model.doc_mixtures
         # each document concentrates on one topic, up to permutation
         assert mix.max(axis=1).min() > 1 - 1e-6
@@ -203,39 +202,65 @@ class TestEmStep:
 
 
 class TestTrainConfig:
+    """``train``'s settings are keyword-only and checked first, by the
+    integer and real-number rules."""
+    X = make_corpus([[1, 0], [0, 1]])
+
     @pytest.mark.parametrize("field", ["n_topics", "max_iters"])
     @pytest.mark.parametrize("value", [2.5, 3.0, float("inf"), True, "3", None])
     def test_count_not_an_integer_rejected(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be an integer >= 1"):
-            TrainConfig(**{field: value})
+            train(self.X, **{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "0", None])
     def test_seed_not_a_count_rejected(self, seed):
         with pytest.raises(ValidationError, match="seed"):
-            TrainConfig(seed=seed)
+            train(self.X, seed=seed)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"n_topics": 0}, "n_topics must be an integer >= 1; got 0"),
+        ({"max_iters": 0}, "max_iters must be an integer >= 1; got 0"),
+        ({"seed": -1}, "seed must be an integer >= 0; got -1"),
+        ({"tol": 0.0}, "tol must be a finite number in (0, inf); got 0.0"),
+    ])
+    def test_checked_before_the_corpus(self, setting, message):
+        empty = make_corpus(np.zeros((2, 0)))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            train(empty, **setting)
+
+    def test_settings_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            train(self.X, 2)
+
+    def test_vocabulary_of_another_size_rejected_before_em(self, monkeypatch):
+        X = make_corpus([[1, 0], [0, 1], [1, 1]])  # 3 words
+        monkeypatch.setattr("phototopics.plsa.em_step", None)  # any EM fails
+        with pytest.raises(ValidationError,
+                           match="^vocabulary has 2 words but model expects 3$"):
+            train(X, n_topics=2, vocab=Vocabulary(("a", "b")))
 
 
 class TestTrain:
     def test_identical_documents_get_identical_mixtures(self):
         X = make_corpus([[1, 1, 1], [1, 1, 1]])
-        model = train(X, TrainConfig(n_topics=3, seed=4))
+        model = train(X, n_topics=3, seed=4)
         for row in model.doc_mixtures[1:]:
             np.testing.assert_allclose(row, model.doc_mixtures[0], atol=1e-9)
 
     def test_planted_topics_recovered(self):
         X, labels = planted_corpus()
-        model = train(X, TrainConfig(n_topics=3, seed=0))
+        model = train(X, n_topics=3, seed=0)
         assigned = model.doc_mixtures.argmax(axis=1)
         assert best_permutation_accuracy(assigned, labels, 3) >= 0.95
 
     def test_empty_corpus_rejected(self):
         X = make_corpus(np.zeros((2, 0)))
         with pytest.raises(ValidationError):
-            train(X, TrainConfig(n_topics=2))
+            train(X, n_topics=2)
 
     def test_records_iterations_and_likelihood(self):
         X = make_corpus([[1, 0], [0, 1]])
-        model = train(X, TrainConfig(n_topics=2, seed=0))
+        model = train(X, n_topics=2, seed=0)
         assert model.n_iters >= 1
         assert np.isfinite(model.final_log_likelihood)
 
@@ -244,8 +269,7 @@ class TestTrain:
         """``train`` for a fixed number of steps equals the per-entry
         E-step loop followed by the M-step formulas."""
         X, _labels = planted_corpus()
-        cfg = TrainConfig(n_topics=3, seed=5, max_iters=n_iters, tol=1e-300)
-        model = train(X, cfg)
+        model = train(X, n_topics=3, seed=5, max_iters=n_iters, tol=1e-300)
         assert model.n_iters == n_iters
 
         start = init_model(3, X.n_words, seed=5, n_docs=X.n_docs)
@@ -269,13 +293,13 @@ class TestTrain:
         model reports, bit for bit: what a reader of ``model.json`` can
         recount."""
         X, _labels = planted_corpus()
-        model = train(X, TrainConfig(n_topics=3, seed=2))
+        model = train(X, n_topics=3, seed=2)
         assert model.final_log_likelihood == em_step(model, X)[1]
 
     def test_vocab_hash_bound(self):
         X = make_corpus([[1, 0], [0, 1]])
         vocab = Vocabulary(("ant", "bee"))
-        model = train(X, TrainConfig(n_topics=2), vocab=vocab)
+        model = train(X, n_topics=2, vocab=vocab)
         assert model.vocab_hash == vocab.digest()
 
 
@@ -292,14 +316,14 @@ class TestFoldIn:
 
     def test_model_bytes_unchanged(self):
         X, _labels = planted_corpus(n_docs=30)
-        model = train(X, TrainConfig(n_topics=3, seed=0))
+        model = train(X, n_topics=3, seed=0)
         before = model.to_json()
         fold_in_one(model, [0, 5, 12], [1.0, 1.0, 1.0])
         assert model.to_json() == before
 
     def test_matches_trained_mixture_on_separable_corpus(self):
         X, _labels = planted_corpus()
-        model = train(X, TrainConfig(n_topics=3, seed=0))
+        model = train(X, n_topics=3, seed=0)
         for j in range(0, X.n_docs, 29):
             widx, wval = column(X, j)
             mixture = fold_in_one(model, widx, wval)
@@ -347,6 +371,12 @@ class TestAssignTopic:
         with pytest.raises(ValidationError):
             assign_topic([0.5, 0.6], 0.035)
 
+    @pytest.mark.parametrize("mixture", [[[0.9, 0.1]], [[0.5], [0.5, 0.5]], [], "ab"],
+                             ids=["2-D", "ragged", "empty", "text"])
+    def test_not_one_mixture_rejected(self, mixture):
+        with pytest.raises(ValidationError, match=r"^mixtures must be an \(n, K\) array"):
+            assign_topic(mixture)
+
 
 class TestAssignTopics:
     MIXTURES = np.array([
@@ -380,6 +410,22 @@ class TestAssignTopics:
             assign_topics(mixtures, 0.035)
         assert str(batch.value) == str(single.value) == \
             "mixture sums to 1.1, expected 1"
+
+    @pytest.mark.parametrize("mixtures", [
+        [0.5, 0.5], [], [[]], [[[0.5, 0.5]]], [[0.5, 0.5], [1.0]], [["a", "b"]],
+    ], ids=["1-D", "empty", "no topics", "3-D", "ragged", "strings"])
+    def test_not_an_n_by_k_array_rejected(self, mixtures):
+        with pytest.raises(ValidationError, match=r"^mixtures must be an \(n, K\) array "
+                                                  "of numbers, K >= 1: "):
+            assign_topics(mixtures)
+
+    def test_nan_mixture_rejected(self):
+        with pytest.raises(ValidationError, match="^mixture sums to nan, expected 1$"):
+            assign_topics([[0.5, 0.5], [np.nan, 1.0]])
+
+    def test_no_rows_assign_nothing(self):
+        topics, max_probs = assign_topics(np.zeros((0, 3)))
+        assert topics.shape == max_probs.shape == (0,)
 
     @pytest.mark.parametrize("threshold", [-0.1, 1.5])
     def test_threshold_out_of_range(self, threshold):
@@ -484,7 +530,7 @@ class TestLogLikelihood:
 class TestPermutationEquivariance:
     def test_relabeled_model_permutes_assignments(self):
         X, _labels = planted_corpus(n_docs=60)
-        model = train(X, TrainConfig(n_topics=3, seed=0))
+        model = train(X, n_topics=3, seed=0)
         perm = [2, 0, 1]
         permuted = PlsaModel(model.word_given_topic[perm],
                              model.doc_mixtures[:, perm],
@@ -531,7 +577,7 @@ class TestPlsaModelShape:
 class TestModelSerialization:
     def test_roundtrip_bit_exact(self):
         X, _labels = planted_corpus(n_docs=20)
-        model = train(X, TrainConfig(n_topics=3, seed=0))
+        model = train(X, n_topics=3, seed=0)
         again = PlsaModel.from_json(model.to_json())
         assert np.array_equal(again.word_given_topic, model.word_given_topic)
         assert np.array_equal(again.doc_mixtures, model.doc_mixtures)
